@@ -13,7 +13,7 @@ from conftest import print_table
 
 from repro.core.baselines import BaselineHmvp, batch_friendly_plain_modulus
 from repro.core.complexity import batch_cost, coefficient_cost, diagonal_cost
-from repro.core.hmvp import hmvp
+from repro.core.batch import BatchedHmvp
 from repro.he.bfv import BfvScheme
 from repro.he.params import CheParams
 
@@ -79,7 +79,7 @@ def test_perf_coefficient_encoding(benchmark, bench_scheme, rng):
     a = rng.integers(-8, 8, (4, 128))
     v = rng.integers(-8, 8, 128)
     ct = bench_scheme.encrypt_vector(v)
-    benchmark(hmvp, bench_scheme, a, ct)
+    benchmark(BatchedHmvp.once, bench_scheme, a, [ct])
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +111,8 @@ def test_functional_agreement(batch_baseline, bench_scheme, rng):
     v = rng.integers(-8, 8, 16)
     want = a.astype(object) @ v.astype(object)
 
-    got_coeff = hmvp(
-        bench_scheme, a, bench_scheme.encrypt_vector(v)
+    got_coeff = BatchedHmvp.once(
+        bench_scheme, a, [bench_scheme.encrypt_vector(v)]
     ).decrypt(bench_scheme)
     assert np.array_equal(got_coeff, want)
 

@@ -12,7 +12,7 @@ Reproduces the figure's three claims:
 import pytest
 from conftest import print_table
 
-from repro.core.hmvp import hmvp
+from repro.core.batch import BatchedHmvp
 from repro.hw.perf import ChamPerfModel, GpuCostModel
 
 M_GRID = [1024, 2048, 4096, 8192, 16384]
@@ -81,7 +81,7 @@ def test_perf_functional_hmvp_8x128(benchmark, bench_scheme, rng):
     a = rng.integers(-50, 50, (8, 128))
     v = rng.integers(-50, 50, 128)
     ct = bench_scheme.encrypt_vector(v)
-    benchmark(hmvp, bench_scheme, a, ct)
+    benchmark(BatchedHmvp.once, bench_scheme, a, [ct])
 
 
 @pytest.mark.benchmark(group="hmvp")

@@ -34,11 +34,11 @@ def test_consistency_sweep_table():
 
 
 def test_functional_layer_in_the_loop(bench_scheme, rng):
-    from repro.core.hmvp import hmvp
+    from repro.core.batch import BatchedHmvp
 
     a = rng.integers(-10, 10, (16, 128))
     v = rng.integers(-10, 10, 128)
-    result = hmvp(bench_scheme, a, bench_scheme.encrypt_vector(v))
+    result = BatchedHmvp.once(bench_scheme, a, [bench_scheme.encrypt_vector(v)])
     report = validate_consistency(16, 1, functional_ops=result.ops)
     assert report.consistent, report.mismatches
 

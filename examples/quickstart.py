@@ -12,7 +12,7 @@ Usage: python examples/quickstart.py
 
 import numpy as np
 
-from repro.core.hmvp import hmvp
+from repro.core.batch import BatchedHmvp
 from repro.he.bfv import BfvScheme
 from repro.he.params import cham_params
 from repro.hw.perf import ChamPerfModel
@@ -40,8 +40,8 @@ def main() -> None:
     print(f"ciphertext : {ct.poly_count} polynomials of degree {params.n}")
     print(f"fresh noise: {scheme.noise_bits(ct):.1f} bits")
 
-    # party B runs Algorithm 1
-    result = hmvp(scheme, matrix, ct)
+    # party B runs Algorithm 1 once on its matrix (encode included)
+    result = BatchedHmvp.once(scheme, matrix, [ct])
     print(f"pipeline   : {result.ops.dot_products} dot products, "
           f"{result.ops.pack_reductions} PACKTWOLWES reductions, "
           f"{result.ops.keyswitches} key-switches")

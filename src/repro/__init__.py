@@ -23,11 +23,12 @@ The package is layered:
 Quickstart::
 
     from repro.he import BfvScheme, cham_params
-    from repro.core import TiledHmvp
+    from repro.core import BatchedHmvp, encrypt_tiles
 
     scheme = BfvScheme(cham_params(), seed=0, max_pack=4096)
-    tiler = TiledHmvp(scheme)
-    result = tiler(matrix, vector)   # encrypt -> Alg. 1 -> decrypt
+    engine = BatchedHmvp(scheme, matrix)     # encode the matrix once
+    result = engine.multiply_tiles(encrypt_tiles(scheme, vector))
+    values = result.decrypt(scheme)          # Alg. 1 end to end
 """
 
 __version__ = "1.0.0"

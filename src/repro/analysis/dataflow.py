@@ -292,23 +292,8 @@ TRANSFERS: Dict[str, Transfer] = {
         out_level="keep",
         out_needs_rescale="keep",
     ),
-    "ntt_components": Transfer(
-        subject="recv",
-        require_domain=COEFF,
-        out_domain=NTT,
-        out_basis="keep",
-        out_level="keep",
-        out_needs_rescale="keep",
-    ),
     # -- products (the needs-rescale producers) ----------------------------
     "multiply_plain": Transfer(
-        subject="recv",
-        out_basis="keep",
-        out_domain=COEFF,
-        out_level="keep",
-        out_needs_rescale=True,
-    ),
-    "multiply_plain_ntt": Transfer(
         subject="recv",
         out_basis="keep",
         out_domain=COEFF,
@@ -394,25 +379,13 @@ TRANSFERS: Dict[str, Transfer] = {
         forbid_aug=True,
         always_produces=False,
     ),
-    "pack_two_lwes": Transfer(
-        subject="arg0",
-        forbid_needs_rescale=True,
-        forbid_aug=True,
-        always_produces=False,
-    ),
-    "pack_lwes_batched": Transfer(
-        subject="arg0",
-        forbid_needs_rescale=True,
-        forbid_aug=True,
-        always_produces=False,
-    ),
     "pack_stacked_lwes": Transfer(
         subject="arg0",
         forbid_needs_rescale=True,
         forbid_aug=True,
         always_produces=False,
     ),
-    "pack_stacked_lwes_many": Transfer(
+    "_pack_tree": Transfer(
         subject="arg0",
         forbid_needs_rescale=True,
         forbid_aug=True,
@@ -441,10 +414,8 @@ TRANSFERS: Dict[str, Transfer] = {
 #: (not just arg0) is checked, because the LWE stacks come in pairs
 _CHECK_ALL_ARGS = {
     "pack_lwes",
-    "pack_two_lwes",
-    "pack_lwes_batched",
     "pack_stacked_lwes",
-    "pack_stacked_lwes_many",
+    "_pack_tree",
     "decrypt",
     "decrypt_plaintext",
     "decrypt_coeffs",

@@ -101,8 +101,8 @@ class OverflowUnsafeModmul(Rule):
     """Flag ``(a * b) % q``-shaped reductions outside the blessed helpers.
 
     The exact hazard :mod:`repro.math.modular` documents around
-    ``SPLIT_BITS``: two 35-bit residues multiply to 70 bits, silently
-    wrapping a NumPy ``uint64``.  Every residue product must route
+    ``MAX_MODULUS_BITS``: two 35-bit residues multiply to 70 bits,
+    silently wrapping a NumPy ``uint64``.  Every residue product must route
     through ``modmul_vec`` (or stay in arbitrary-precision Python ints /
     object dtype, in which case the site carries a justified noqa).
     """
@@ -111,7 +111,7 @@ class OverflowUnsafeModmul(Rule):
     name = "overflow-unsafe-modmul"
     rationale = (
         "products of two mod-q residues can exceed 64 bits for CHAM's "
-        "35/39-bit moduli; only modular.modmul_vec's split-multiply path "
+        "35/39-bit moduli; only modular.modmul_vec's exact Barrett path "
         "(or exact big-int arithmetic) is overflow-safe"
     )
 

@@ -30,7 +30,8 @@ from typing import List, Optional
 import numpy as np
 
 from .. import obs
-from ..core.hmvp import HmvpOpCount, TiledHmvp
+from ..core.batch import BatchedHmvp, encrypt_tiles
+from ..core.hmvp import HmvpOpCount
 from ..he.bfv import BfvScheme
 
 __all__ = ["BeaverTriple", "BeaverGenerator", "MatrixBeaverGenerator", "verify_triple"]
@@ -84,7 +85,6 @@ class BeaverGenerator:
 
     def __init__(self, scheme: BfvScheme, seed: Optional[int] = None) -> None:
         self.scheme = scheme
-        self.tiler = TiledHmvp(scheme)
         self.rng = np.random.default_rng(seed)
         self.stats = GenerationStats()
 
@@ -111,11 +111,11 @@ class BeaverGenerator:
             # client side: sample + encrypt a1
             a1 = self._rand_small(n)
             a2 = self._rand_small(n)
-            ct_tiles = self.tiler.encrypt_vector(a1)
+            ct_tiles = encrypt_tiles(self.scheme, a1)
             self.stats.encryptions += len(ct_tiles)
 
             # server side: homomorphic W * a1, then mask
-            result = self.tiler.multiply(matrix, ct_tiles)
+            result = BatchedHmvp.once(self.scheme, matrix, ct_tiles)
             self.stats.ops = self.stats.ops + result.ops
             s = self._rand_vec(m)
 
@@ -158,8 +158,6 @@ class MatrixBeaverGenerator(BeaverGenerator):
 
     def generate_matrix(self, matrix: np.ndarray, cols: int) -> List[BeaverTriple]:
         """One triple per column, sharing the hoisted row transforms."""
-        from ..core.batch import BatchedHmvp
-
         matrix = np.asarray(matrix)
         m, n = matrix.shape
         t = self.scheme.params.plain_modulus

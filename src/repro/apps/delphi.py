@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.conv import Conv2dEncoder, conv2d_reference, homomorphic_conv2d
-from ..core.hmvp import TiledHmvp
+from ..core.batch import BatchedHmvp, encrypt_tiles
 from ..he.bfv import BfvScheme
 from .inference import TinyModel
 from .protocol import Channel, Party
@@ -83,7 +83,7 @@ class DelphiInference:
         self.conv_encoder = Conv2dEncoder(
             self.scheme, self.image_size, self.image_size, kh, kw
         )
-        self.tiler = TiledHmvp(self.scheme)
+        self.fc_engine = BatchedHmvp(self.scheme, self.model.fc)
         self._conv_corr: Optional[LayerCorrelation] = None
         self._fc_corr: Optional[LayerCorrelation] = None
 
@@ -129,11 +129,11 @@ class DelphiInference:
     def _offline_fc(self) -> LayerCorrelation:
         feat = self.model.fc.shape[1]
         r = self.rng.integers(-(1 << 12), 1 << 12, feat)
-        ct_tiles = self.tiler.encrypt_vector(r)
+        ct_tiles = encrypt_tiles(self.scheme, r)
         self.client.send(self.server, "offline/fc/enc_r", ct_tiles)
 
         tiles = self.server.recv("offline/fc/enc_r")
-        result = self.tiler.multiply(self.model.fc, tiles)
+        result = self.fc_engine.multiply_tiles(tiles)
         # server blinds after the pack: one add_plain on the packed ct
         classes = self.model.fc.shape[0]
         s = self.rng.integers(0, self.t, classes, dtype=np.uint64).astype(object)

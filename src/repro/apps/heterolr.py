@@ -29,7 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import obs
-from ..core.hmvp import TiledHmvp
+from ..core.batch import BatchedHmvp, encrypt_tiles
 from ..he.bfv import BfvScheme
 from ..he.encoder import FixedPointCodec
 from ..he.paillier import Paillier
@@ -155,7 +155,6 @@ class BfvBackend:
         self, scheme: BfvScheme, frac_bits: int = 13, mask_gradients: bool = True
     ) -> None:
         self.scheme = scheme
-        self.tiler = TiledHmvp(scheme)
         self.codec = FixedPointCodec(scheme.params.plain_modulus, frac_bits)
         self.frac_bits = frac_bits
         #: blind gradients before the arbiter decrypts (Hardy et al.'s
@@ -167,7 +166,7 @@ class BfvBackend:
     def encrypt_residual(self, e: np.ndarray):
         fixed = self.codec.encode(e)
         self.counts.encryptions += 1
-        return self.tiler.encrypt_vector(fixed)
+        return encrypt_tiles(self.scheme, fixed)
 
     def combine_residual(self, enc_e, z_own: np.ndarray, offset: np.ndarray):
         add = self.codec.encode(z_own + offset)
@@ -187,7 +186,7 @@ class BfvBackend:
         self.counts.matvecs += 1
         self.counts.matvec_rows += fixed.shape[0]
         self.counts.matvec_cols += fixed.shape[1]
-        return self.tiler.multiply(fixed, enc_e)
+        return BatchedHmvp.once(self.scheme, fixed, enc_e)
 
     def decrypt_gradient(self, result, count: int) -> np.ndarray:
         t = self.scheme.params.plain_modulus

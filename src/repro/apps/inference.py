@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.conv import Conv2dEncoder, conv2d_reference, homomorphic_conv2d
-from ..core.hmvp import TiledHmvp
+from ..core.batch import BatchedHmvp, encrypt_tiles
 from ..he.bfv import BfvScheme
 
 __all__ = ["TinyModel", "PrivateInference"]
@@ -69,7 +69,7 @@ class PrivateInference:
         self.conv_encoder = Conv2dEncoder(
             scheme, image_size, image_size, *model.kernel.shape
         )
-        self.tiler = TiledHmvp(scheme)
+        self.fc_engine = BatchedHmvp(scheme, model.fc)
 
     # -- client -------------------------------------------------------------------
 
@@ -85,7 +85,7 @@ class PrivateInference:
         return np.maximum(feature_map, 0)
 
     def client_encrypt_activations(self, act: np.ndarray):
-        return self.tiler.encrypt_vector(act.reshape(-1))
+        return encrypt_tiles(self.scheme, act.reshape(-1))
 
     def client_decrypt_logits(self, result) -> np.ndarray:
         return result.decrypt(self.scheme)
@@ -96,7 +96,7 @@ class PrivateInference:
         return homomorphic_conv2d(self.conv_encoder, ct_image, self.model.kernel)
 
     def server_fc(self, ct_act_tiles):
-        return self.tiler.multiply(self.model.fc, ct_act_tiles)
+        return self.fc_engine.multiply_tiles(ct_act_tiles)
 
     # -- end-to-end ----------------------------------------------------------------
 

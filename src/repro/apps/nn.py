@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.conv import Conv2dEncoder, conv2d_reference, homomorphic_conv2d
-from ..core.hmvp import TiledHmvp
+from ..core.batch import BatchedHmvp, encrypt_tiles
 from ..he.bfv import BfvScheme
 from .protocol import Channel, Party
 
@@ -98,8 +98,8 @@ class LinearLayer:
         return self.weights.astype(object) @ np.asarray(x, dtype=object)
 
     def homomorphic(self, scheme: BfvScheme, x: np.ndarray) -> np.ndarray:
-        tiler = TiledHmvp(scheme)
-        return tiler(self.weights, np.asarray(x, dtype=np.int64))
+        ct_tiles = encrypt_tiles(scheme, np.asarray(x, dtype=np.int64))
+        return BatchedHmvp.once(scheme, self.weights, ct_tiles).decrypt(scheme)
 
 
 @dataclass

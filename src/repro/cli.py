@@ -77,7 +77,7 @@ def _tracing(path: Optional[str]):
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.core.hmvp import hmvp
+    from repro.core.batch import BatchedHmvp
     from repro.he.bfv import BfvScheme
     from repro.he.params import cham_params, toy_params
 
@@ -91,7 +91,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"params : {params.describe()}")
     with _tracing(args.trace_out):
         ct = scheme.encrypt_vector(vector)
-        result = hmvp(scheme, matrix, ct)
+        result = BatchedHmvp.once(scheme, matrix, [ct])
         got = result.decrypt(scheme)
     want = matrix.astype(object) @ vector.astype(object)
     ok = bool(np.array_equal(got, want))
@@ -232,7 +232,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     an RAS runtime job + health check (the paper's monitoring counters).
     """
     from repro import obs
-    from repro.core.hmvp import hmvp
+    from repro.core.batch import BatchedHmvp
     from repro.he.bfv import BfvScheme
     from repro.he.noise import packed_slot_positions
     from repro.he.params import toy_params
@@ -247,7 +247,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     matrix = rng.integers(-(1 << 12), 1 << 12, (rows, params.n))
     vector = rng.integers(-(1 << 12), 1 << 12, params.n)
-    result = hmvp(scheme, matrix, scheme.encrypt_vector(vector))
+    result = BatchedHmvp.once(scheme, matrix, [scheme.encrypt_vector(vector)])
     scheme.noise_budget(
         result.packs[0].ct, packed_slot_positions(params.n, rows)
     )

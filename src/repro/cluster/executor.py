@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from .. import obs
+from ..core.batch import encrypt_tiles
 from ..core.hmvp import HmvpOpCount, HmvpResult
 from ..he.bfv import BfvScheme
 from ..he.packing import pack_stacked_lwes
@@ -376,11 +377,7 @@ class ClusterExecutor:
             raise ValueError(
                 f"vector length {v.shape[0]} != matrix cols {self.cols}"
             )
-        ring = self.scheme.params.n
-        return [
-            self.scheme.encrypt_vector(v[start : start + ring])
-            for start in range(0, self.cols, ring)
-        ]
+        return encrypt_tiles(self.scheme, v)
 
     def _normalize(
         self, request: Union[RlweCiphertext, Sequence[RlweCiphertext]]
@@ -516,9 +513,7 @@ class ClusterExecutor:
     # values or RNG streams — the differential suite pins that results
     # stay per-limb bit-identical across fabrics.
 
-    def _charge_scatter(
-        self, hoisted: Sequence[Tuple[np.ndarray, ...]]
-    ) -> None:
+    def _charge_scatter(self, hoisted: Sequence[np.ndarray]) -> None:
         """Move each hoisted ciphertext tile to the shards' primaries.
 
         A (node, tile) pair is charged once even when several shards on
@@ -526,7 +521,7 @@ class ClusterExecutor:
         ndarray bytes, flit-quantized by the simulator.
         """
         ring = self.plan.ring_n
-        tile_bytes = [sum(int(a.nbytes) for a in h) for h in hoisted]
+        tile_bytes = [int(h.nbytes) for h in hoisted]
         self._current_scatter_bytes = {
             s.shard_id: sum(
                 tile_bytes[t] for t in range(*s.tile_range(ring))

@@ -3,8 +3,8 @@ its tiling to arbitrary shapes, convolution lowerings, and the baseline
 encodings + complexity models it is compared against (Section II-E).
 """
 
-from .hmvp import HmvpOpCount, HmvpResult, TiledHmvp, hmvp
-from .batch import BatchedHmvp
+from .hmvp import HmvpOpCount, HmvpResult
+from .batch import BatchedHmvp, encrypt_tiles
 from .matmul import EncryptedMatmul
 from .baselines import (
     BaselineHmvp,
@@ -30,8 +30,7 @@ __all__ = [
     "EncryptedMatmul",
     "HmvpOpCount",
     "HmvpResult",
-    "TiledHmvp",
-    "hmvp",
+    "encrypt_tiles",
     "BaselineHmvp",
     "BatchEncoder",
     "batch_friendly_plain_modulus",

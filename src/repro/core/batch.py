@@ -1,11 +1,13 @@
-"""Matrix-resident batched HMVP: one plaintext matrix, many vectors.
+"""The HMVP engine: one plaintext matrix, one or many encrypted vectors.
 
-CHAM's deployment story (Section V) is *many vectors against one
-resident matrix* — HeteroLR streams thousands of mini-batches through
-the same weight layout, Beaver triple generation streams vectors through
-fixed tiles, and the paper's introduction cites batching as the standard
-amortization ("up to 4096 encrypted images can be evaluated
-simultaneously").  This module serves that shape:
+CHAM computes every matrix-vector product with one pipeline — dot
+product, EXTRACTLWES, one PACKLWES tree (Alg. 1-3) — and its deployment
+story (Section V) is *many vectors against one resident matrix*:
+HeteroLR streams mini-batches through the same weight layout, Beaver
+triple generation streams vectors through fixed tiles, and the paper's
+introduction cites batching as the standard amortization ("up to 4096
+encrypted images can be evaluated simultaneously").  This module is
+that pipeline, for resident and one-shot matrices alike:
 
 * :class:`EncodedMatrix` — each row tile is Eq. 1-encoded and
   forward-NTT'd **once**, stored per RNS limb as a frozen
@@ -14,18 +16,21 @@ simultaneously").  This module serves that shape:
 * :class:`EncodedMatrixCache` — a thread-safe LRU over fingerprints, so
   repeat engines for the same matrix skip encoding entirely
   (``batch.cache.hit`` / ``batch.cache.miss`` counters);
-* :class:`BatchedHmvp` — hoists each vector ciphertext's forward NTT
-  once per request, runs every row of a tile through one vectorized
-  dot/rescale/extract pass, aggregates partial LWEs across column tiles,
-  and emits a *single* batched pack per row tile; batches fan row-tile
-  work across a ``concurrent.futures`` worker pool;
+* :class:`BatchedHmvp` — the only HMVP engine: hoists each vector
+  ciphertext's forward NTT once per request, runs every row of a tile
+  through one vectorized dot/rescale/extract pass, aggregates partial
+  LWEs across column tiles, and packs each row tile through the one
+  PACKLWES tree; a batch runs in stacked request groups whose work
+  items fan out across a ``concurrent.futures`` worker pool;
 * :class:`BatchQueue` — ``submit``/``drain`` request queue that maps a
   drained batch onto :class:`repro.hw.runtime.JobScheduler` engines so
   the simulator prices the batched schedule.
 
-Functionally everything is exact (bit-identical to the per-call
-:func:`repro.core.hmvp.hmvp` path); the op-count deltas feed the
-performance model and ``benchmarks/bench_batch.py``.
+Functionally everything is exact: per RNS limb, bit-identical to the
+scalar per-row oracle in ``tests/oracles.py`` (``encode_row`` →
+``multiply_plain`` → rescale → ``extract_lwe`` → recursive pack); the
+op-count deltas feed the performance model and
+``benchmarks/bench_batch.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from .. import obs
 from ..he.bfv import BfvScheme
-from ..he.packing import PackedResult, pack_stacked_lwes, pack_stacked_lwes_many
+from ..he.packing import STACK_COEFFS, PackedResult, _pack_tree
 from ..he.params import CheParams
 from ..he.rlwe import RlweCiphertext
 from ..hw.runtime import Job, JobScheduler, QueueReport
@@ -56,6 +61,7 @@ __all__ = [
     "EncodedMatrixCache",
     "MATRIX_CACHE",
     "encode_matrix",
+    "encrypt_tiles",
     "BatchedHmvp",
     "BatchDrainReport",
     "BatchQueue",
@@ -88,6 +94,15 @@ def matrix_fingerprint(
     else:
         h.update(np.ascontiguousarray(arr.astype(np.int64)).tobytes())
     return h.hexdigest()
+
+
+def _tile_rows(tile_rows: Optional[int], ring: int) -> int:
+    """Rows per row tile: ``None`` means the ring degree ``N``."""
+    if tile_rows is None:
+        return ring
+    if not 1 <= tile_rows <= ring:
+        raise ValueError(f"tile_rows {tile_rows} must be in 1..{ring}")
+    return tile_rows
 
 
 def _encode_rows_eq1(block: np.ndarray, n: int, t: int) -> np.ndarray:
@@ -158,7 +173,7 @@ class EncodedMatrix:
             raise ValueError("matrix must be 2-D")
         m, n_cols = matrix.shape
         ring = scheme.params.n
-        tile_rows = min(tile_rows or ring, ring)
+        tile_rows = _tile_rows(tile_rows, ring)
         ctx = scheme.ctx
         aug = ctx.aug_basis
         t = scheme.params.plain_modulus
@@ -211,9 +226,8 @@ class EncodedMatrixCache:
         entry between node caches (install under the same key on the
         destination) without ever re-running the encode.
         """
-        ring = scheme.params.n
-        effective_tile = min(tile_rows or ring, ring)
-        return matrix_fingerprint(matrix, scheme.params, effective_tile)
+        tile = _tile_rows(tile_rows, scheme.params.n)
+        return matrix_fingerprint(matrix, scheme.params, tile)
 
     def peek(self, key: str) -> Optional[EncodedMatrix]:
         """Look up an entry by key without encoding on a miss."""
@@ -292,21 +306,46 @@ def encode_matrix(
     return target.get_or_encode(scheme, matrix, tile_rows=tile_rows)
 
 
+def encrypt_tiles(
+    scheme: BfvScheme, v: Sequence[int]
+) -> List[RlweCiphertext]:
+    """One augmented vector ciphertext per ring-wide column tile of ``v``.
+
+    The request layout every engine entry point takes for matrices
+    wider than the ring (:meth:`BatchedHmvp.multiply_tiles`).
+    """
+    v = np.asarray(v)
+    ring = scheme.params.n
+    return [
+        scheme.encrypt_vector(v[start : start + ring])
+        for start in range(0, v.shape[0], ring)
+    ]
+
+
 class BatchedHmvp:
-    """Apply one plaintext matrix to many encrypted vectors.
+    """The HMVP engine: one plaintext matrix applied to encrypted vectors.
+
+    Every entry point runs the same request-stacked pipeline — hoist
+    (NTT) → dot (MULTPOLY, INTT) → RESCALE+EXTRACT → column-tile LWE sum
+    → PACK — over a *request group*: ``R`` vector ciphertexts stacked on
+    one axis, so each stage is one NumPy pass per row tile.  A batch
+    runs in groups of ``max(1, STACK_COEFFS // (rows * n))`` requests;
+    one-shot products (:meth:`once`) and the cluster's partial products
+    are groups of one.
 
     Parameters
     ----------
     scheme:
         The HE scheme (keys included).
     matrix:
-        ``(m, n_cols)`` with ``m <= N``; ``n_cols`` may exceed the ring
-        degree, in which case requests supply one vector ciphertext per
-        column tile (see :meth:`multiply_tiles`).
+        ``(m, n_cols)`` of any size: rows beyond the ring degree become
+        separate row tiles (one pack each), and ``n_cols`` beyond it
+        column tiles, in which case requests supply one vector
+        ciphertext per column tile (see :meth:`multiply_tiles`).
     cache:
         Encoded-matrix cache; defaults to the module :data:`MATRIX_CACHE`.
     tile_rows:
-        Rows per row tile (defaults to all rows: one pack per request).
+        Rows per row tile, ``1..N`` (defaults to the ring degree ``N``).
     workers:
         Default worker-pool width for :meth:`multiply_batch`.
     """
@@ -324,12 +363,8 @@ class BatchedHmvp:
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
-        m, _n_cols = matrix.shape
-        if m > scheme.params.n:
-            raise ValueError(
-                "BatchedHmvp covers single-tile row counts "
-                f"(m={m} > ring degree {scheme.params.n})"
-            )
+        if 0 in matrix.shape:
+            raise ValueError(f"nothing to pack: empty {matrix.shape} matrix")
         self.matrix = matrix
         self.workers = workers
         self.encoded = encode_matrix(
@@ -337,153 +372,128 @@ class BatchedHmvp:
         )
         self.encode_ops = self.encoded.encode_ops
 
+    @classmethod
+    def once(
+        cls,
+        scheme: BfvScheme,
+        matrix: Sequence[Sequence[int]],
+        ct_tiles: Sequence[RlweCiphertext],
+    ) -> HmvpResult:
+        """One-shot product of a fresh matrix with one request.
+
+        The matrix is encoded outside :data:`MATRIX_CACHE` (nothing is
+        retained once the result returns), and the result's ``ops``
+        include that encode — a one-shot product pays the row
+        transforms every call.
+        """
+        engine = cls(scheme, matrix, cache=EncodedMatrixCache(capacity=1))
+        result = engine.multiply_tiles(ct_tiles)
+        result.ops = engine.encode_ops + result.ops
+        return result
+
     @property
     def shape(self) -> "tuple[int, int]":
         return tuple(self.matrix.shape)
 
-    # -- per-request kernels ---------------------------------------------------
+    # -- the request-stacked pipeline ------------------------------------------
 
-    def _hoist(
-        self, ct: RlweCiphertext
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Forward NTT of the vector ciphertext, computed once per request."""
-        if not ct.is_augmented:
-            raise ValueError("vector ciphertext must be augmented")
-        with obs.span("batch.hoist", limbs=len(ct.basis)):
-            return ct.ntt_components()
-
-    def _tile_partial(
-        self,
-        tile_ntt: np.ndarray,
-        hoisted: "tuple[np.ndarray, np.ndarray]",
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """All rows of one tile through dot/rescale/extract in one pass.
-
-        Returns the stacked partial LWEs ``(b (L, rows), a (L, rows, n))``
-        — exactly what :func:`pack_stacked_lwes` consumes.
-        """
-        ctx = self.scheme.ctx
-        aug = ctx.aug_basis
-        ct_basis = ctx.ct_basis
-        c0n, c1n = hoisted
-        rows = tile_ntt.shape[1]
-        with obs.span("batch.dot", rows=rows):
-            with obs.span("batch.modmul", rows=rows, limbs=len(aug)):
-                # both components against every row in one broadcast
-                # pass: (L_aug, 1, rows, n) x (L_aug, 2, 1, n)
-                aug_col = aug.modulus_column.reshape(-1, 1, 1, 1)
-                comp = np.stack([c0n, c1n], axis=1)  # (L_aug, 2, n)
-                prods = modmul_vec(
-                    tile_ntt[:, np.newaxis], comp[:, :, np.newaxis, :], aug_col
-                )
-            with obs.span("batch.intt", rows=rows, limbs=len(aug)):
-                d = ctx.intt_limbs(prods, aug)
-            with obs.span("batch.rescale_extract", rows=rows):
-                r = aug.rescale_last(d)  # (L, 2, rows, n)
-                r0, r1 = r[:, 0], r[:, 1]
-                # vectorized EXTRACTLWES at index 0: b = c0[..0];
-                # a[0] = c1[..0], a[j] = -c1[..n-j] for j >= 1
-                b = np.ascontiguousarray(r0[:, :, 0])
-                a = np.empty_like(r1)
-                a[..., 0] = r1[..., 0]
-                ct_col = ct_basis.modulus_column.reshape(-1, 1, 1)
-                a[:, :, 1:] = modneg_vec(r1[:, :, :0:-1], ct_col)
-        return b, a
-
-    def _row_tile_partial(
-        self,
-        rt: int,
-        hoisted_tiles: Sequence["tuple[np.ndarray, np.ndarray]"],
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """One row tile of one request: per-column-tile partials -> aggregate.
-
-        Returns the column-aggregated stacked LWEs ``(b (L, rows),
-        a (L, rows, n))`` for row tile ``rt`` — the merge payload the
-        cluster layer (:mod:`repro.cluster`) ships between nodes.
-        """
-        ct_basis = self.scheme.ctx.ct_basis
-        agg_b: Optional[np.ndarray] = None
-        agg_a: Optional[np.ndarray] = None
-        for ct_idx in range(self.encoded.col_tiles):
-            b, a = self._tile_partial(
-                self.encoded.tiles[(rt, ct_idx)], hoisted_tiles[ct_idx]
-            )
-            if agg_b is None:
-                agg_b, agg_a = b, a
-            else:
-                # aggregate partial dot products as LWEs (cheap additions)
-                col = ct_basis.modulus_column
-                agg_b = modadd_vec(agg_b, b, col.reshape(-1, 1))
-                agg_a = modadd_vec(agg_a, a, col.reshape(-1, 1, 1))
-        return agg_b, agg_a
-
-    def _row_tile_pack(
-        self,
-        rt: int,
-        hoisted_tiles: Sequence["tuple[np.ndarray, np.ndarray]"],
-    ) -> PackedResult:
-        """One row tile of one request: partials -> aggregate -> pack."""
-        ctx = self.scheme.ctx
-        agg_b, agg_a = self._row_tile_partial(rt, hoisted_tiles)
-        with obs.span("batch.pack", rows=agg_b.shape[1], row_tile=rt):
-            return pack_stacked_lwes(
-                ctx, ctx.ct_basis, agg_b, agg_a, self.scheme.galois_keys
+    def _check_tiles(self, count: int, what: str = "vector") -> None:
+        if count != self.encoded.col_tiles:
+            raise ValueError(
+                f"need {self.encoded.col_tiles} {what} tiles for "
+                f"{self.matrix.shape[1]} columns, got {count}"
             )
 
-    def _fused_batch_pack(
-        self, cts: Sequence[RlweCiphertext]
-    ) -> List[List[PackedResult]]:
-        """Every request of a single-column-tile batch in lock-step.
+    def _group_size(self) -> int:
+        """Requests per stacked group (see :data:`STACK_COEFFS`)."""
+        rows = self.encoded.row_tile_rows(0)
+        return max(1, STACK_COEFFS // (rows * self.encoded.ring_n))
 
-        Stacks all ``R`` requests along a batch axis and drives the
-        whole pipeline — hoist NTT, dot, inverse NTT, rescale, extract,
-        pack — as fused ``(L, ..., R, ..., n)`` kernels: each stage runs
-        *once* per row tile instead of once per request, which is where
-        the warm-path wall time goes at CHAM's ring sizes (interpreter
-        dispatch, not arithmetic).  Bit-identical per request to the
-        per-request path.  Returns ``results[request][row_tile]``.
+    def _hoist(self, cts: Sequence[RlweCiphertext]) -> np.ndarray:
+        """Forward NTT of a request group's ciphertexts, once per request.
+
+        Returns the ``(L_aug, 2, R, n)`` stack of both components.
         """
-        ctx = self.scheme.ctx
-        aug = ctx.aug_basis
-        ct_basis = ctx.ct_basis
-        reqs = len(cts)
         for ct in cts:
             if not ct.is_augmented:
                 raise ValueError("vector ciphertext must be augmented")
-        with obs.span("batch.hoist", limbs=len(aug), requests=reqs):
-            c0n = ctx.ntt_limbs(np.stack([ct.c0 for ct in cts], axis=1), aug)
-            c1n = ctx.ntt_limbs(np.stack([ct.c1 for ct in cts], axis=1), aug)
-        comp = np.stack([c0n, c1n], axis=1)  # (L_aug, 2, R, n)
-        out: List[List[PackedResult]] = [[] for _ in range(reqs)]
-        for rt in range(self.encoded.row_tiles):
-            tile_ntt = self.encoded.tiles[(rt, 0)]
-            rows = tile_ntt.shape[1]
-            with obs.span("batch.dot", rows=rows, requests=reqs):
-                with obs.span("batch.modmul", rows=rows, limbs=len(aug)):
-                    # (L_aug, 1, 1, rows, n) x (L_aug, 2, R, 1, n)
-                    aug_col = aug.modulus_column.reshape(-1, 1, 1, 1, 1)
-                    prods = modmul_vec(
-                        tile_ntt[:, np.newaxis, np.newaxis],
-                        comp[..., np.newaxis, :],
-                        aug_col,
-                    )
-                with obs.span("batch.intt", rows=rows, limbs=len(aug)):
-                    d = ctx.intt_limbs(prods, aug)
-                with obs.span("batch.rescale_extract", rows=rows):
-                    r = aug.rescale_last(d)  # (L, 2, R, rows, n)
-                    r0, r1 = r[:, 0], r[:, 1]
-                    b = np.ascontiguousarray(r0[..., 0])  # (L, R, rows)
-                    a = np.empty_like(r1)  # (L, R, rows, n)
-                    a[..., 0] = r1[..., 0]
-                    ct_col = ct_basis.modulus_column.reshape(-1, 1, 1, 1)
-                    a[..., 1:] = modneg_vec(r1[..., :0:-1], ct_col)
-            with obs.span("batch.pack", rows=rows, row_tile=rt, requests=reqs):
-                packs = pack_stacked_lwes_many(
-                    ctx, ct_basis, b, a, self.scheme.galois_keys
+        ctx = self.scheme.ctx
+        aug = ctx.aug_basis
+        with obs.span("NTT", limbs=len(aug), polys=2, requests=len(cts)):
+            comps = np.stack(
+                [
+                    np.stack([ct.c0 for ct in cts], axis=1),
+                    np.stack([ct.c1 for ct in cts], axis=1),
+                ],
+                axis=1,
+            )
+            return ctx.ntt_limbs(comps, aug)
+
+    def _tile_partial(
+        self, tile_ntt: np.ndarray, comp: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Dot → rescale/extract of one ``(L_aug, rows, n)`` tile against
+        a group's ``(L_aug, 2, R, n)`` hoisted components.
+
+        Returns the stacked LWEs ``(b (L, R, rows), a (L, R, rows, n))``.
+        """
+        ctx = self.scheme.ctx
+        aug = ctx.aug_basis
+        rows, reqs = tile_ntt.shape[1], comp.shape[2]
+        with obs.span("batch.dot", rows=rows, requests=reqs):
+            with obs.span("MULTPOLY", rows=rows, limbs=len(aug)):
+                # every row against both components of every request:
+                # (L_aug, 1, 1, rows, n) x (L_aug, 2, R, 1, n)
+                prods = modmul_vec(
+                    tile_ntt[:, np.newaxis, np.newaxis],
+                    comp[..., np.newaxis, :],
+                    aug.modulus_column.reshape(-1, 1, 1, 1, 1),
                 )
-            for ri in range(reqs):
-                out[ri].append(packs[ri])
-        return out
+            with obs.span("INTT", rows=rows, limbs=len(aug)):
+                d = ctx.intt_limbs(prods, aug)
+            with obs.span("RESCALE+EXTRACT", rows=rows):
+                r = aug.rescale_last(d)  # (L, 2, R, rows, n)
+                r0, r1 = r[:, 0], r[:, 1]
+                # vectorized EXTRACTLWES at index 0: b = c0[..0];
+                # a[0] = c1[..0], a[j] = -c1[..n-j] for j >= 1
+                b = np.ascontiguousarray(r0[..., 0])
+                a = np.empty_like(r1)
+                a[..., 0] = r1[..., 0]
+                ct_col = ctx.ct_basis.modulus_column.reshape(-1, 1, 1, 1)
+                a[..., 1:] = modneg_vec(r1[..., :0:-1], ct_col)
+        return b, a
+
+    def _row_tile_partial(
+        self, rt: int, hoisted_tiles: Sequence[np.ndarray]
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """All column tiles of row tile ``rt``, summed as LWEs.
+
+        ``hoisted_tiles[c]`` is a group's ``(L_aug, 2, R, n)`` transform
+        for column tile ``c``.  Returns the stacked LWEs
+        ``(b (L, R, rows), a (L, R, rows, n))`` — what the pack tree
+        consumes, and (per request) the merge payload the cluster layer
+        (:mod:`repro.cluster`) ships between nodes.
+        """
+        ct_col = self.scheme.ctx.ct_basis.modulus_column
+        b, a = self._tile_partial(
+            self.encoded.tiles[(rt, 0)], hoisted_tiles[0]
+        )
+        for col in range(1, len(hoisted_tiles)):
+            b_col, a_col = self._tile_partial(
+                self.encoded.tiles[(rt, col)], hoisted_tiles[col]
+            )
+            # aggregate partial dot products as LWEs (cheap additions)
+            b = modadd_vec(b, b_col, ct_col.reshape(-1, 1, 1))
+            a = modadd_vec(a, a_col, ct_col.reshape(-1, 1, 1, 1))
+        return b, a
+
+    def _row_tile_pack(
+        self, rt: int, hoisted_tiles: Sequence[np.ndarray]
+    ) -> List[PackedResult]:
+        """One row tile of a request group: partials → PACK, per request."""
+        ctx = self.scheme.ctx
+        b, a = self._row_tile_partial(rt, hoisted_tiles)
+        return _pack_tree(ctx, ctx.ct_basis, b, a, self.scheme.galois_keys)
 
     def request_op_count(self) -> HmvpOpCount:
         """Operation counts of one request against the resident matrix."""
@@ -505,24 +515,20 @@ class BatchedHmvp:
 
     # -- public entry points ---------------------------------------------------
 
-    def hoist(
-        self, ct: RlweCiphertext
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Public hoist: the per-request forward NTT of a vector ciphertext.
+    def hoist(self, ct: RlweCiphertext) -> np.ndarray:
+        """Public hoist: the forward NTT of one ciphertext, a group of one.
 
         The hoisted components depend only on the ciphertext (not on the
         resident matrix), so a caller fanning one request across several
         engines — the cluster scatter path — computes them once and
         passes them to every engine's :meth:`multiply_partial`.
         """
-        return self._hoist(ct)
+        return self._hoist([ct])
 
     def multiply_partial(
         self,
         ct_tiles: Optional[Sequence[RlweCiphertext]] = None,
-        hoisted_tiles: Optional[
-            Sequence["tuple[np.ndarray, np.ndarray]"]
-        ] = None,
+        hoisted_tiles: Optional[Sequence[np.ndarray]] = None,
     ) -> "List[tuple[np.ndarray, np.ndarray]]":
         """Stages 1-4 only: stacked partial LWEs per row tile, unpacked.
 
@@ -542,38 +548,28 @@ class BatchedHmvp:
         if hoisted_tiles is None:
             if ct_tiles is None:
                 raise ValueError("need ct_tiles or hoisted_tiles")
-            if len(ct_tiles) != self.encoded.col_tiles:
-                raise ValueError(
-                    f"need {self.encoded.col_tiles} vector tiles for "
-                    f"{self.matrix.shape[1]} columns, got {len(ct_tiles)}"
-                )
-            hoisted_tiles = [self._hoist(ct) for ct in ct_tiles]
-        elif len(hoisted_tiles) != self.encoded.col_tiles:
-            raise ValueError(
-                f"need {self.encoded.col_tiles} hoisted tiles, "
-                f"got {len(hoisted_tiles)}"
-            )
+            self._check_tiles(len(ct_tiles))
+            hoisted_tiles = [self.hoist(ct) for ct in ct_tiles]
+        else:
+            self._check_tiles(len(hoisted_tiles), "hoisted")
         obs.inc(
             "core.hmvp.dot_products",
             self.matrix.shape[0] * self.encoded.col_tiles,
         )
-        return [
-            self._row_tile_partial(rt, hoisted_tiles)
-            for rt in range(self.encoded.row_tiles)
-        ]
+        partials = []
+        for rt in range(self.encoded.row_tiles):
+            b, a = self._row_tile_partial(rt, hoisted_tiles)
+            partials.append((b[:, 0], a[:, 0]))
+        return partials
 
     def multiply_tiles(
         self, ct_tiles: Sequence[RlweCiphertext]
     ) -> HmvpResult:
         """Full Alg. 1 for one request (one ciphertext per column tile)."""
-        if len(ct_tiles) != self.encoded.col_tiles:
-            raise ValueError(
-                f"need {self.encoded.col_tiles} vector tiles for "
-                f"{self.matrix.shape[1]} columns, got {len(ct_tiles)}"
-            )
-        hoisted = [self._hoist(ct) for ct in ct_tiles]
+        self._check_tiles(len(ct_tiles))
+        hoisted = [self.hoist(ct) for ct in ct_tiles]
         packs = [
-            self._row_tile_pack(rt, hoisted)
+            self._row_tile_pack(rt, hoisted)[0]
             for rt in range(self.encoded.row_tiles)
         ]
         m, n_cols = self.matrix.shape
@@ -584,8 +580,6 @@ class BatchedHmvp:
 
     def multiply_one(self, ct_v: RlweCiphertext) -> HmvpResult:
         """Full Alg. 1 for one vector against the cached matrix."""
-        if not ct_v.is_augmented:
-            raise ValueError("vector ciphertext must be augmented")
         if self.encoded.col_tiles != 1:
             raise ValueError(
                 "matrix has multiple column tiles; use multiply_tiles"
@@ -599,9 +593,9 @@ class BatchedHmvp:
     ) -> List[HmvpResult]:
         """Apply the cached matrix to a batch of encrypted vectors.
 
-        Row-tile work items — one per ``(request, row_tile)`` pair — fan
-        out across a thread pool when ``workers > 1`` (the NumPy kernels
-        release the GIL for most of their runtime).
+        The batch runs in request groups; the ``(group, row tile)`` work
+        items fan out across a thread pool when ``workers > 1`` (the
+        NumPy kernels release the GIL for most of their runtime).
         """
         if self.encoded.col_tiles != 1:
             raise ValueError(
@@ -611,18 +605,18 @@ class BatchedHmvp:
         if not cts:
             return []
         pool_width = workers if workers is not None else (self.workers or 1)
-        m, n_cols = self.matrix.shape
+        size = self._group_size()
+        groups = [cts[i : i + size] for i in range(0, len(cts), size)]
+        row_tiles = self.encoded.row_tiles
         obs.inc("batch.requests", len(cts))
         with obs.span("batch.batch", requests=len(cts), workers=pool_width):
+            hoisted = [[self._hoist(group)] for group in groups]
             tasks = [
-                (ri, rt)
-                for ri in range(len(cts))
-                for rt in range(self.encoded.row_tiles)
+                (gi, rt) for gi in range(len(groups)) for rt in range(row_tiles)
             ]
             if pool_width > 1 and len(tasks) > 1:
                 # pool threads do not inherit the contextvar, so carry
                 # the batch's trace context across the executor hop
-                hoisted = [self._hoist(ct) for ct in cts]
                 batch_ctx = obs.current_context()
                 with ThreadPoolExecutor(max_workers=pool_width) as pool:
                     packed = list(
@@ -631,26 +625,30 @@ class BatchedHmvp:
                                 batch_ctx,
                                 self._row_tile_pack,
                                 task[1],
-                                [hoisted[task[0]]],
+                                hoisted[task[0]],
                             ),
                             tasks,
                         )
                     )
             else:
-                # single-worker path: fuse the whole batch into stacked
-                # lock-step kernels (one pass per pipeline stage per row
-                # tile, not per request)
-                per_request = self._fused_batch_pack(cts)
-                packed = [per_request[ri][rt] for ri, rt in tasks]
+                packed = [
+                    self._row_tile_pack(rt, hoisted[gi]) for gi, rt in tasks
+                ]
+        m, n_cols = self.matrix.shape
         obs.inc("core.hmvp.dot_products", m * len(cts))
         per_request = self.request_op_count()
         results = []
-        tiles_per_req = self.encoded.row_tiles
-        for ri in range(len(cts)):
-            packs = packed[ri * tiles_per_req : (ri + 1) * tiles_per_req]
-            results.append(
-                HmvpResult(packs=packs, rows=m, cols=n_cols, ops=per_request)
-            )
+        for gi, group in enumerate(groups):
+            tile_packs = packed[gi * row_tiles : (gi + 1) * row_tiles]
+            for ri in range(len(group)):
+                results.append(
+                    HmvpResult(
+                        packs=[packs[ri] for packs in tile_packs],
+                        rows=m,
+                        cols=n_cols,
+                        ops=per_request,
+                    )
+                )
         return results
 
     def make_jobs(

@@ -26,6 +26,7 @@ import numpy as np
 from ..he.bfv import BfvScheme
 from ..he.encoder import Plaintext
 from ..he.rlwe import RlweCiphertext
+from .batch import BatchedHmvp, encrypt_tiles
 
 __all__ = [
     "im2col",
@@ -243,13 +244,11 @@ def conv2d_via_hmvp(
     :func:`homomorphic_conv2d`, exercising Alg. 1 instead of the packed
     single-multiplication trick.  Returns the decrypted output map.
     """
-    from .hmvp import TiledHmvp
-
     kernel = np.asarray(kernel)
     kh, kw = kernel.shape
     matrix = im2col(np.asarray(image), kh, kw)
-    tiler = TiledHmvp(scheme)
-    flat = tiler(matrix, kernel.reshape(-1))
+    ct_tiles = encrypt_tiles(scheme, kernel.reshape(-1))
+    flat = BatchedHmvp.once(scheme, matrix, ct_tiles).decrypt(scheme)
     oh = image.shape[0] - kh + 1
     ow = image.shape[1] - kw + 1
     return np.asarray(flat, dtype=object).reshape(oh, ow)

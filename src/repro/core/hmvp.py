@@ -1,39 +1,30 @@
-"""Coefficient-encoded homomorphic matrix-vector product (Algorithm 1).
+"""Result and operation-count types of the coefficient-encoded HMVP.
 
-This is the paper's primary contribution, end to end:
+Algorithm 1 — encode each row per Eq. 1, multiply ``pt^(A_i) × ct^(v)``
+(the constant coefficient is ``<A_i, v>``, Eq. 2), ``EXTRACTLWES``, then
+``PACKLWES`` — runs in one engine, :class:`repro.core.batch.BatchedHmvp`,
+for every shape the paper deploys (Section V-B3): row tiles become
+separate packs, column tiles use separate vector ciphertexts whose
+partial dot products are aggregated *as LWE ciphertexts* before packing
+— the aggregation cost is exactly why Fig. 6 shows throughput degrading
+once ``n >= m``.
 
-1. encode each matrix row per Eq. 1 and the vector per ``pt^(v)``;
-2. multiply ``pt^(A_i) × ct^(v)`` — the constant coefficient of the
-   product plaintext is the inner product ``<A_i, v>`` (Eq. 2);
-3. ``EXTRACTLWES`` each result into an LWE ciphertext;
-4. ``PACKLWES`` the LWE ciphertexts back into a single RLWE ciphertext.
-
-:func:`hmvp` handles matrices up to ``(n, n)``; :class:`TiledHmvp`
-extends to arbitrary shapes with the mini-batch + matrix-tiling scheme
-the paper deploys for HeteroLR (Section V-B3): row tiles become separate
-packs, column tiles use separate vector ciphertexts whose partial dot
-products are aggregated *as LWE ciphertexts* before packing — the
-aggregation cost is exactly why Fig. 6 shows throughput degrading once
-``n >= m``.
-
-Every entry point also returns an :class:`HmvpOpCount` so the hardware
-performance models can price the exact operation mix.
+Every product returns an :class:`HmvpResult` carrying an
+:class:`HmvpOpCount`, so the hardware performance models can price the
+exact operation mix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-from .. import obs
 from ..he.bfv import BfvScheme
-from ..he.lwe import LweCiphertext, extract_lwe
 from ..he.packing import PackedResult
-from ..he.rlwe import NttPlaintext, RlweCiphertext
 
-__all__ = ["HmvpOpCount", "HmvpResult", "hmvp", "TiledHmvp"]
+__all__ = ["HmvpOpCount", "HmvpResult"]
 
 
 @dataclass
@@ -144,160 +135,3 @@ class HmvpResult:
         """Decrypt all row tiles into the full result vector (objects)."""
         parts = [scheme.decrypt_packed(pack) for pack in self.packs]
         return np.concatenate(parts)
-
-
-def _dot_product_lwes(
-    scheme: BfvScheme,
-    matrix: np.ndarray,
-    ct_v: RlweCiphertext,
-    ops: HmvpOpCount,
-    row_ntts: Optional[Sequence[NttPlaintext]] = None,
-) -> List[LweCiphertext]:
-    """Rows -> dot products -> extracted LWEs (pipeline stages 1-4).
-
-    With ``row_ntts`` (pre-transformed row encodings, one per matrix
-    row) the per-row forward NTTs are skipped and the ciphertext
-    transform is hoisted out of the loop — the cached stages the
-    batched engine builds on.
-    """
-    lwes = []
-    if row_ntts is None:
-        for i in range(matrix.shape[0]):
-            # stages 1-3 (spans NTT / MULTPOLY / INTT inside multiply_plain)
-            pt_row = scheme.encoder.encode_row(np.asarray(matrix[i]))
-            prod = ct_v.multiply_plain(pt_row)
-            # stage 4: drop the special modulus and pull out the LWE sample
-            with obs.span("RESCALE+EXTRACT", row=i):
-                ct_dot = prod.rescale() if prod.is_augmented else prod
-                lwes.append(extract_lwe(ct_dot, 0))
-        tally = HmvpOpCount.for_dot_products(
-            matrix.shape[0], matrix.shape[1], len(scheme.ctx.aug_basis)
-        )
-    else:
-        if len(row_ntts) != matrix.shape[0]:
-            raise ValueError("one cached row transform required per row")
-        with obs.span("NTT", limbs=len(ct_v.basis), polys=2, hoisted=True):
-            hoisted = ct_v.ntt_components()
-        for i, row_ntt in enumerate(row_ntts):
-            prod = ct_v.multiply_plain_ntt(row_ntt, comp_ntts=hoisted)
-            with obs.span("RESCALE+EXTRACT", row=i):
-                ct_dot = prod.rescale() if prod.is_augmented else prod
-                lwes.append(extract_lwe(ct_dot, 0))
-        tally = HmvpOpCount.for_cached_dot_products(
-            matrix.shape[0], matrix.shape[1], len(scheme.ctx.aug_basis)
-        )
-    obs.inc("core.hmvp.dot_products", matrix.shape[0])
-    for name in vars(tally):
-        setattr(ops, name, getattr(ops, name) + getattr(tally, name))
-    return lwes
-
-
-def hmvp(
-    scheme: BfvScheme,
-    matrix: Sequence[Sequence[int]],
-    ct_v: RlweCiphertext,
-) -> HmvpResult:
-    """Algorithm 1 for a matrix with ``m, n <= N``.
-
-    ``ct_v`` must be an augmented-basis encryption of the Eq. 1 vector
-    encoding (``scheme.encrypt_vector``).
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    m, n = matrix.shape
-    ring_n = scheme.params.n
-    if m > ring_n or n > ring_n:
-        raise ValueError(
-            f"{m}x{n} exceeds ring degree {ring_n}; use TiledHmvp"
-        )
-    ops = HmvpOpCount()
-    lwes = _dot_product_lwes(scheme, matrix, ct_v, ops)
-    packed = scheme.pack(lwes)
-    ops = ops + HmvpOpCount.for_pack(
-        m, len(scheme.ctx.ct_basis), len(scheme.ctx.aug_basis)
-    )
-    return HmvpResult(packs=[packed], rows=m, cols=n, ops=ops)
-
-
-class TiledHmvp:
-    """Mini-batch + matrix-tiling HMVP for arbitrary ``(m, n)``.
-
-    The matrix is cut into ``ceil(n / N)`` column tiles and row tiles of
-    at most ``N`` rows.  Party A encrypts one vector ciphertext per
-    column tile; per row, the partial dot products from each column tile
-    are aggregated as LWE ciphertexts (cheap additions) before packing.
-    """
-
-    def __init__(self, scheme: BfvScheme) -> None:
-        self.scheme = scheme
-        self.ring_n = scheme.params.n
-
-    def column_tiles(self, n: int) -> int:
-        return -(-n // self.ring_n)
-
-    def row_tiles(self, m: int) -> int:
-        return -(-m // self.ring_n)
-
-    def encrypt_vector(self, v: Sequence[int]) -> List[RlweCiphertext]:
-        """One augmented ciphertext per column tile of the vector."""
-        v = np.asarray(v)
-        out = []
-        for start in range(0, v.shape[0], self.ring_n):
-            out.append(self.scheme.encrypt_vector(v[start : start + self.ring_n]))
-        return out
-
-    def multiply(
-        self,
-        matrix: Sequence[Sequence[int]],
-        ct_tiles: List[RlweCiphertext],
-        rows_per_pack: Optional[int] = None,
-    ) -> HmvpResult:
-        """Full tiled HMVP.
-
-        ``rows_per_pack`` caps the rows folded into one output ciphertext
-        (defaults to the ring degree); smaller values model the paper's
-        mini-batching.
-        """
-        matrix = np.asarray(matrix)
-        m, n = matrix.shape
-        expect_tiles = self.column_tiles(n)
-        if len(ct_tiles) != expect_tiles:
-            raise ValueError(
-                f"need {expect_tiles} vector tiles for {n} columns, "
-                f"got {len(ct_tiles)}"
-            )
-        pack_rows = rows_per_pack or self.ring_n
-        if pack_rows > self.ring_n:
-            raise ValueError("rows_per_pack cannot exceed the ring degree")
-
-        ops = HmvpOpCount()
-        packs: List[PackedResult] = []
-        for row_start in range(0, m, pack_rows):
-            row_block = matrix[row_start : row_start + pack_rows]
-            agg: List[LweCiphertext] = []
-            for tile_idx in range(expect_tiles):
-                col_start = tile_idx * self.ring_n
-                block = row_block[:, col_start : col_start + self.ring_n]
-                lwes = _dot_product_lwes(
-                    self.scheme, block, ct_tiles[tile_idx], ops
-                )
-                if not agg:
-                    agg = lwes
-                else:
-                    agg = [a + b for a, b in zip(agg, lwes)]
-                    ops.lwe_additions += len(lwes)
-            packed = self.scheme.pack(agg)
-            ops = ops + HmvpOpCount.for_pack(
-                len(agg), len(self.scheme.ctx.ct_basis), len(self.scheme.ctx.aug_basis)
-            )
-            packs.append(packed)
-        return HmvpResult(packs=packs, rows=m, cols=n, ops=ops)
-
-    def __call__(
-        self, matrix: Sequence[Sequence[int]], v: Sequence[int]
-    ) -> np.ndarray:
-        """Convenience: encrypt, multiply, decrypt, return ``A·v``."""
-        ct_tiles = self.encrypt_vector(v)
-        result = self.multiply(matrix, ct_tiles)
-        return result.decrypt(self.scheme)

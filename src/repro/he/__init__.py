@@ -35,7 +35,7 @@ from .lwe_ops import (
 )
 from .keyswitch import apply_keyswitch, key_switch_raw
 from .automorphism import apply_automorphism, apply_automorphism_with_key
-from .packing import PackedResult, pack_lwes, pack_reduction_count, pack_two_lwes
+from .packing import PackedResult, pack_lwes, pack_reduction_count
 from .noise import (
     NoiseModel,
     absolute_noise_bits,
@@ -101,7 +101,6 @@ __all__ = [
     "PackedResult",
     "pack_lwes",
     "pack_reduction_count",
-    "pack_two_lwes",
     "NoiseModel",
     "absolute_noise_bits",
     "invariant_noise_budget",

@@ -27,7 +27,7 @@ from .context import CheContext
 from .keys import KeySwitchKey
 from .rlwe import RlweCiphertext
 
-__all__ = ["key_switch_raw", "key_switch_raw_loop", "apply_keyswitch"]
+__all__ = ["key_switch_raw", "apply_keyswitch"]
 
 
 def key_switch_raw(
@@ -59,8 +59,9 @@ def key_switch_raw(
     4. inverse-transforms and rescales ``acc0``/``acc1`` together as a
        single ``(L_aug, 2, *batch, n)`` stack.
 
-    Output is bit-identical per RNS limb to the reference double loop
-    (:func:`key_switch_raw_loop`), which the property suite enforces.
+    Output is bit-identical per RNS limb to the reference per-digit /
+    per-limb double loop (``key_switch_raw_loop`` in ``tests/oracles.py``),
+    which the property suite enforces.
     """
     params = ctx.params
     aug = ctx.aug_basis
@@ -84,7 +85,6 @@ def key_switch_raw(
         aug_col = aug.modulus_column.reshape((n_aug,) + (1,) * c.ndim)
         digit_limbs = c[np.newaxis] % aug_col  # (L_aug, L, *batch, n)
         assert digit_limbs.dtype == np.uint64, digit_limbs.dtype
-        assert digit_limbs.dtype == np.uint64, digit_limbs.dtype
         # (2) one fused butterfly sweep over all L_aug * L polynomials
         digit_ntt = ctx.ntt_limbs(digit_limbs, aug)
         # (3) both inner products in one broadcast pass: the combined
@@ -100,45 +100,6 @@ def key_switch_raw(
         d = aug.rescale_last(ctx.intt_limbs(acc, aug))
         d0 = np.ascontiguousarray(d[:, 0])
         d1 = np.ascontiguousarray(d[:, 1])
-    return d0, d1
-
-
-def key_switch_raw_loop(
-    ctx: CheContext, c: np.ndarray, ksk: KeySwitchKey
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference per-digit / per-limb key-switch (the differential oracle).
-
-    This is the original double-loop implementation, kept verbatim so
-    the fused path has a bit-identity oracle (``tests/
-    test_fastpath_properties.py``).  Not instrumented and not used on
-    any hot path — call :func:`key_switch_raw` instead.
-    """
-    params = ctx.params
-    aug = ctx.aug_basis
-    ct_moduli = params.ct_moduli
-    if c.ndim < 2 or c.shape[0] != len(ct_moduli) or c.shape[-1] != ctx.n:
-        raise ValueError(f"expected normal-basis stack, got shape {c.shape}")
-    acc0 = np.zeros((len(aug),) + c.shape[1:], dtype=np.uint64)
-    acc1 = np.zeros((len(aug),) + c.shape[1:], dtype=np.uint64)
-    for i, _qi in enumerate(ct_moduli):
-        digit = c[i]  # the i-th RNS digit, an integer in [0, q_i)
-        digit_limbs = np.stack([digit % np.uint64(qj) for qj in aug])
-        digit_ntt = np.stack(
-            [ctx.ntt(qj).forward(digit_limbs[j]) for j, qj in enumerate(aug)]
-        )
-        for j, qj in enumerate(aug):
-            acc0[j] = modadd_vec(
-                acc0[j], modmul_vec(digit_ntt[j], ksk.b_ntt[i][j], qj), qj
-            )
-            acc1[j] = modadd_vec(
-                acc1[j], modmul_vec(digit_ntt[j], ksk.a_ntt[i][j], qj), qj
-            )
-    d0 = aug.rescale_last(
-        np.stack([ctx.ntt(qj).inverse(acc0[j]) for j, qj in enumerate(aug)])
-    )
-    d1 = aug.rescale_last(
-        np.stack([ctx.ntt(qj).inverse(acc1[j]) for j, qj in enumerate(aug)])
-    )
     return d0, d1
 
 

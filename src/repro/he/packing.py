@@ -37,22 +37,28 @@ from .. import obs
 from ..math.modular import modadd_vec, modneg_vec, modsub_vec
 from ..math.polynomial import automorph, shiftneg
 from ..math.rns import RnsBasis
-from .automorphism import apply_automorphism
 from .context import CheContext
 from .keys import GaloisKeyset
 from .keyswitch import key_switch_raw
-from .lwe import LweCiphertext, lwe_to_rlwe
+from .lwe import LweCiphertext
 from .rlwe import RlweCiphertext
 
 __all__ = [
+    "STACK_COEFFS",
     "PackedResult",
-    "pack_two_lwes",
     "pack_lwes",
-    "pack_lwes_batched",
     "pack_stacked_lwes",
-    "pack_stacked_lwes_many",
     "pack_reduction_count",
 ]
+
+#: Coefficients one stacked kernel call is sized to touch.  PACKLWES
+#: key-switches ``max(1, STACK_COEFFS // (requests * n))`` pairs per call,
+#: and the HMVP engine (:class:`repro.core.batch.BatchedHmvp`) runs a
+#: batch in request groups of ``max(1, STACK_COEFFS // (rows * n))``.
+#: Small rings stack many requests per pass (interpreter dispatch
+#: dominates there); at ``N = 4096`` a group is one request and a slice
+#: two pairs, which keeps the key-switch digit stacks cache-sized.
+STACK_COEFFS = 8192
 
 
 @dataclass
@@ -82,83 +88,16 @@ class PackedResult:
         return self.ct.ctx.n >> self.scale_pow2
 
 
-def pack_two_lwes(
-    level: int,
-    ct_even: RlweCiphertext,
-    ct_odd: RlweCiphertext,
-    galois_keys: GaloisKeyset,
-) -> RlweCiphertext:
-    """Algorithm 2: merge two level-``(k-1)`` packs into a level-``k`` pack."""
-    n = ct_even.ctx.n
-    stride = n >> level
-    if stride < 1:
-        raise ValueError(f"level {level} exceeds log2(n)={n.bit_length() - 1}")
-    obs.inc("he.pack.reductions")
-    g = (1 << level) + 1
-    ct_mono = ct_odd.multiply_monomial(stride)
-    ct_plus = ct_even + ct_mono
-    ct_minus = ct_even - ct_mono
-    ct_auto = apply_automorphism(ct_minus, g, galois_keys)
-    return ct_plus + ct_auto
-
-
 def pack_lwes(
     lwes: Sequence[LweCiphertext],
     galois_keys: GaloisKeyset,
 ) -> PackedResult:
-    """Algorithm 3: recursively pack ``m`` LWE ciphertexts into one RLWE.
+    """Algorithm 3: pack ``m`` LWE ciphertexts into one RLWE ciphertext.
 
+    The list-of-LWE adapter over :func:`pack_stacked_lwes` (what
+    :meth:`repro.he.bfv.BfvScheme.pack` and the CKKS slot pack call).
     Inputs are zero-padded to the next power of two with transparent
     zero ciphertexts, which is exact (zero message, zero noise).
-    """
-    if not lwes:
-        raise ValueError("nothing to pack")
-    ctx = lwes[0].ctx
-    rlwes: List[RlweCiphertext] = [lwe_to_rlwe(lwe) for lwe in lwes]
-    count = len(rlwes)
-    levels = max(count - 1, 0).bit_length()
-    target = 1 << levels
-    if target > ctx.n:
-        raise ValueError(f"cannot pack {count} > ring degree {ctx.n}")
-    basis = rlwes[0].basis
-    while len(rlwes) < target:
-        rlwes.append(RlweCiphertext.zero(ctx, basis))
-
-    stats = {"reductions": 0}
-
-    def recurse(items: List[RlweCiphertext]) -> RlweCiphertext:
-        # Algorithm 3: split by index parity so slot order comes out natural
-        if len(items) == 1:
-            return items[0]
-        level = len(items).bit_length() - 1
-        ct_even = recurse(items[0::2])
-        ct_odd = recurse(items[1::2])
-        stats["reductions"] += 1
-        return pack_two_lwes(level, ct_even, ct_odd, galois_keys)
-
-    with obs.span("PACK", count=count, levels=levels):
-        packed = recurse(rlwes)
-    obs.inc("he.pack.calls")
-    return PackedResult(
-        ct=packed, count=count, scale_pow2=levels, reductions=stats["reductions"]
-    )
-
-
-def pack_lwes_batched(
-    lwes: Sequence[LweCiphertext],
-    galois_keys: GaloisKeyset,
-) -> PackedResult:
-    """Vectorized PACKLWES: bit-identical to :func:`pack_lwes`.
-
-    The recursion of Algorithm 3 is a perfect binary tree; all merges at
-    tree level ``k`` share the same Galois element ``g = 2**k + 1`` and
-    monomial stride ``n >> k``, so each level collapses into one pass of
-    stacked ``(L, pairs, n)`` NumPy kernels plus a single *batched*
-    key-switch (the per-pair Python dispatch of the sequential path is
-    what dominates the software pack).  Level order: iterating levels
-    ``1..log2(m)`` with ``next[r] = merge(k, cur[r], cur[r + half])``
-    reproduces the recursion's parity splits exactly, so the output
-    ciphertext is byte-for-byte the one :func:`pack_lwes` produces.
     """
     if not lwes:
         raise ValueError("nothing to pack")
@@ -181,68 +120,15 @@ def pack_stacked_lwes(
     a: np.ndarray,
     galois_keys: GaloisKeyset,
 ) -> PackedResult:
-    """Batched pack over pre-stacked LWE components.
+    """PACKLWES over pre-stacked LWE components of one request.
 
     ``b`` has shape ``(L, m)`` and ``a`` has shape ``(L, m, n)`` — the
-    layout the vectorized extract produces, so the batched HMVP engine
-    never materializes per-row :class:`LweCiphertext` objects.
+    layout the vectorized extract produces, so callers never
+    materialize per-row :class:`LweCiphertext` objects.
     """
-    nlimbs, count = b.shape
-    if a.shape != (nlimbs, count, ctx.n) or nlimbs != len(basis):
-        raise ValueError(f"stacked LWE shapes {b.shape} / {a.shape} mismatch")
-    c0, c1, levels, target = _pack_tree(
+    return _pack_tree(
         ctx, basis, b[:, np.newaxis], a[:, np.newaxis], galois_keys
-    )
-    obs.inc("he.pack.calls")
-    packed = RlweCiphertext(
-        ctx,
-        basis,
-        np.ascontiguousarray(c0[:, 0]),
-        np.ascontiguousarray(c1[:, 0]),
-    )
-    return PackedResult(
-        ct=packed, count=count, scale_pow2=levels, reductions=target - 1
-    )
-
-
-def pack_stacked_lwes_many(
-    ctx: CheContext,
-    basis: RnsBasis,
-    b: np.ndarray,
-    a: np.ndarray,
-    galois_keys: GaloisKeyset,
-) -> List[PackedResult]:
-    """Pack ``R`` independent stacked-LWE batches in lock-step.
-
-    ``b`` has shape ``(L, R, m)`` and ``a`` shape ``(L, R, m, n)`` — one
-    pack of ``m`` LWEs per request.  All ``R`` pack trees share the same
-    level schedule (same Galois element and monomial stride at each
-    level), so every level issues *one* SHIFTNEG/AUTOMORPH pass and one
-    batched key-switch over all requests at once, instead of ``R``
-    separate pack pipelines.  Each returned pack is bit-identical to
-    running :func:`pack_stacked_lwes` on that request alone.
-    """
-    if b.ndim != 3:
-        raise ValueError(f"expected (L, R, m) stacked b, got shape {b.shape}")
-    nlimbs, reqs, count = b.shape
-    if a.shape != (nlimbs, reqs, count, ctx.n) or nlimbs != len(basis):
-        raise ValueError(f"stacked LWE shapes {b.shape} / {a.shape} mismatch")
-    c0, c1, levels, target = _pack_tree(ctx, basis, b, a, galois_keys)
-    obs.inc("he.pack.calls", reqs)
-    return [
-        PackedResult(
-            ct=RlweCiphertext(
-                ctx,
-                basis,
-                np.ascontiguousarray(c0[:, r]),
-                np.ascontiguousarray(c1[:, r]),
-            ),
-            count=count,
-            scale_pow2=levels,
-            reductions=target - 1,
-        )
-        for r in range(reqs)
-    ]
+    )[0]
 
 
 def _pack_tree(
@@ -251,55 +137,90 @@ def _pack_tree(
     b: np.ndarray,
     a: np.ndarray,
     galois_keys: GaloisKeyset,
-) -> "tuple[np.ndarray, np.ndarray, int, int]":
-    """The shared PACKLWES tree over ``(L, R, m)`` / ``(L, R, m, n)`` stacks.
+) -> List[PackedResult]:
+    """The PACKLWES tree over ``R`` requests stacked in lock-step.
 
-    Returns ``(c0, c1, levels, target)`` with the packed components
-    shaped ``(L, R, n)``.
+    ``b`` has shape ``(L, R, m)`` and ``a`` shape ``(L, R, m, n)``; one
+    pack of ``m`` LWEs comes back per request.  The recursion of
+    Algorithm 3 is a perfect binary tree whose merges at level ``k``
+    all share the Galois element ``g = 2**k + 1`` and monomial stride
+    ``n >> k``, so a level is a run of stacked ``(L, R, pairs, n)``
+    SHIFTNEG / AUTOMORPH passes plus batched key-switches.  Iterating
+    levels ``1..log2(m)`` with ``next[r] = merge(k, cur[r], cur[r + half])``
+    reproduces the recursion's parity splits, so every output is
+    byte-for-byte the recursive pack of that request alone.
+
+    A level runs in slices of ``max(1, STACK_COEFFS // (R * n))`` pairs
+    per key-switch call, so each slice's digit stack stays cache-sized:
+    at ``N = 4096`` a whole-level call runs slower than one call per
+    pair.
     """
+    if b.ndim != 3:
+        raise ValueError(f"expected (L, R, m) stacked b, got shape {b.shape}")
     nlimbs, reqs, count = b.shape
+    n = ctx.n
+    if a.shape != (nlimbs, reqs, count, n) or nlimbs != len(basis):
+        raise ValueError(f"stacked LWE shapes {b.shape} / {a.shape} mismatch")
     if count < 1 or reqs < 1:
         raise ValueError("nothing to pack")
     levels = max(count - 1, 0).bit_length()
     target = 1 << levels
-    if target > ctx.n:
-        raise ValueError(f"cannot pack {count} > ring degree {ctx.n}")
-    n = ctx.n
-
-    # Eq. 3 embedding for every request at once, zero-padded to the
-    # next power of two (transparent zero ciphertexts, exact).
+    if target > n:
+        raise ValueError(f"cannot pack {count} > ring degree {n}")
     q_col = basis.modulus_column.reshape(-1, 1, 1, 1)
-    c0 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
-    c1 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
-    c0[:, :, :count, 0] = b
-    c1[:, :, :count, 0] = a[..., 0]
-    c1[:, :, :count, 1:] = modneg_vec(a[..., :0:-1], q_col)
+    per_call = max(1, STACK_COEFFS // (reqs * n))
 
-    with obs.span(
-        "PACK", count=count, levels=levels, requests=reqs, mode="batched"
-    ):
+    with obs.span("PACK", count=count, levels=levels, requests=reqs):
+        # Eq. 3 embedding for every request at once, zero-padded to the
+        # next power of two (transparent zero ciphertexts, exact)
+        c0 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
+        c1 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
+        c0[:, :, :count, 0] = b
+        c1[:, :, :count, 0] = a[..., 0]
+        c1[:, :, :count, 1:] = modneg_vec(a[..., :0:-1], q_col)
         for k in range(1, levels + 1):
             half = c0.shape[2] // 2
             with obs.span("PACK.level", level=k, pairs=half, requests=reqs):
                 stride = n >> k
                 g = (1 << k) + 1
+                ksk = galois_keys[g]
                 obs.inc("he.pack.reductions", half * reqs)
-                # whole-stack passes with the per-limb modulus column:
-                # SHIFTNEG / AUTOMORPH broadcast over requests, pairs
-                # and limbs; one batched key-switch covers every merge
-                # at this level across all R pack trees
-                e0, e1 = c0[:, :, :half], c1[:, :, :half]
-                o0, o1 = c0[:, :, half:], c1[:, :, half:]
-                mono0 = shiftneg(o0, stride, q_col)
-                mono1 = shiftneg(o1, stride, q_col)
-                plus0 = modadd_vec(e0, mono0, q_col)
-                plus1 = modadd_vec(e1, mono1, q_col)
-                auto0 = automorph(modsub_vec(e0, mono0, q_col), g, q_col)
-                auto1 = automorph(modsub_vec(e1, mono1, q_col), g, q_col)
-                d0, d1 = key_switch_raw(ctx, auto1, galois_keys[g])
-                c0 = modadd_vec(plus0, modadd_vec(auto0, d0, q_col), q_col)
-                c1 = modadd_vec(plus1, d1, q_col)
-    return c0[:, :, 0], c1[:, :, 0], levels, target
+                n0 = np.empty((nlimbs, reqs, half, n), dtype=np.uint64)
+                n1 = np.empty((nlimbs, reqs, half, n), dtype=np.uint64)
+                for lo in range(0, half, per_call):
+                    ev = slice(lo, min(lo + per_call, half))
+                    od = slice(half + lo, half + ev.stop)
+                    e0, e1 = c0[:, :, ev], c1[:, :, ev]
+                    mono0 = shiftneg(c0[:, :, od], stride, q_col)
+                    mono1 = shiftneg(c1[:, :, od], stride, q_col)
+                    auto0 = automorph(modsub_vec(e0, mono0, q_col), g, q_col)
+                    auto1 = automorph(modsub_vec(e1, mono1, q_col), g, q_col)
+                    d0, d1 = key_switch_raw(ctx, auto1, ksk)
+                    n0[:, :, ev] = modadd_vec(
+                        modadd_vec(e0, mono0, q_col),
+                        modadd_vec(auto0, d0, q_col),
+                        q_col,
+                    )
+                    n1[:, :, ev] = modadd_vec(
+                        modadd_vec(e1, mono1, q_col), d1, q_col
+                    )
+                c0, c1 = n0, n1
+        packs = [
+            PackedResult(
+                ct=RlweCiphertext(
+                    ctx,
+                    basis,
+                    np.ascontiguousarray(c0[:, r, 0]),
+                    np.ascontiguousarray(c1[:, r, 0]),
+                ),
+                count=count,
+                scale_pow2=levels,
+                reductions=target - 1,
+            )
+            for r in range(reqs)
+        ]
+    obs.inc("he.pack.calls", reqs)
+    return packs
 
 
 def pack_reduction_count(m: int) -> int:

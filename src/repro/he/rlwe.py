@@ -33,7 +33,6 @@ from ..math.modular import (
     modneg_vec,
     modsub_vec,
 )
-from ..math.ntt import freeze_array
 from ..math.polynomial import automorph, monomial_multiply
 from ..math.rns import RnsBasis
 from .context import CheContext
@@ -41,7 +40,6 @@ from .encoder import Plaintext
 from .keys import PublicKey, SecretKey
 
 __all__ = [
-    "NttPlaintext",
     "RlweCiphertext",
     "encrypt",
     "encrypt_pk",
@@ -75,45 +73,6 @@ def scaled_plaintext_limbs(
     centered = pt.centered().astype(object)
     scaled = [(2 * modulus * int(c) + t) // (2 * t) for c in centered]
     return ctx.limbs_for(scaled, basis)
-
-
-@dataclass
-class NttPlaintext:
-    """A plaintext held in the NTT domain over an RNS basis.
-
-    This is the matrix-resident representation of the batched engine:
-    row encodings are transformed once and reused across every vector,
-    skipping the per-call forward NTTs that dominate
-    :class:`~repro.core.hmvp.HmvpOpCount`.  ``limbs`` may carry extra
-    batch axes — shape ``(L, *batch, n)`` holds a whole row tile — and
-    is frozen read-only because instances are shared across threads.
-    """
-
-    basis: RnsBasis
-    limbs: np.ndarray
-
-    def __post_init__(self) -> None:
-        limbs = np.asarray(self.limbs, dtype=np.uint64)
-        if (
-            limbs.ndim < 2
-            or limbs.shape[0] != len(self.basis)
-            or limbs.shape[-1] != self.basis.n
-        ):
-            raise ValueError(
-                f"limbs shape {limbs.shape} incompatible with "
-                f"({len(self.basis)}, ..., {self.basis.n})"
-            )
-        if limbs.flags.writeable:
-            limbs = limbs.copy()
-        self.limbs = freeze_array(limbs)
-
-    @classmethod
-    def from_plaintext(
-        cls, ctx: CheContext, pt: Plaintext, basis: RnsBasis
-    ) -> "NttPlaintext":
-        """Center, reduce and forward-transform a coefficient plaintext."""
-        limbs = plaintext_limbs(ctx, pt, basis)
-        return cls(basis, ctx.ntt_limbs(limbs, basis))
 
 
 @dataclass
@@ -228,50 +187,6 @@ class RlweCiphertext:
                 np.stack(
                     [
                         modmul_vec(comp_ntt[i], pt_ntt[i], q)
-                        for i, q in enumerate(self.basis)
-                    ]
-                )
-                for comp_ntt in comp_ntts
-            ]
-        with obs.span("INTT", limbs=len(self.basis), polys=2):
-            out = [self.ctx.intt_limbs(prod, self.basis) for prod in prods]
-        return RlweCiphertext(self.ctx, self.basis, out[0], out[1])
-
-    def ntt_components(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Forward NTT of both components (the hoisted transform).
-
-        The batched engine computes this once per vector ciphertext and
-        reuses it for every matrix row, so a request pays ``2*(L)``
-        transforms total instead of ``2*(L)`` per row.
-        """
-        return (
-            self.ctx.ntt_limbs(self.c0, self.basis),
-            self.ctx.ntt_limbs(self.c1, self.basis),
-        )
-
-    def multiply_plain_ntt(
-        self,
-        pt_ntt: NttPlaintext,
-        comp_ntts: "Optional[tuple[np.ndarray, np.ndarray]]" = None,
-    ) -> "RlweCiphertext":
-        """Plaintext product with the plaintext transform already resident.
-
-        ``comp_ntts`` optionally supplies the hoisted NTT of this
-        ciphertext (from :meth:`ntt_components`) so repeated products
-        against different plaintexts skip the forward transform too.
-        Numerically identical to :meth:`multiply_plain`.
-        """
-        if pt_ntt.basis.moduli != self.basis.moduli:
-            raise ValueError("plaintext basis mismatch")
-        obs.inc("he.rlwe.multiply_plain")
-        if comp_ntts is None:
-            with obs.span("NTT", limbs=len(self.basis), polys=2):
-                comp_ntts = self.ntt_components()
-        with obs.span("MULTPOLY", limbs=len(self.basis)):
-            prods = [
-                np.stack(
-                    [
-                        modmul_vec(comp_ntt[i], pt_ntt.limbs[i], q)
                         for i, q in enumerate(self.basis)
                     ]
                 )

@@ -2,26 +2,14 @@
 
 CHAM's moduli are at most 39 bits wide (``p = 2**38 + 2**23 + 1``), so a
 product of two residues can reach 78 bits and does not fit in a NumPy
-``uint64``.  Three exact multiply paths coexist:
-
-* :func:`modmul_vec_split` — the original reference path: split the left
-  operand at ``SPLIT_BITS`` bits so every intermediate stays below
-  2**62.  This is the **differential oracle** the fast paths are
-  cross-checked against; it is deliberately left untouched.
-* :func:`modmul_vec_barrett` — the default fast path: a floating-point
-  Barrett reduction with the per-modulus reciprocal ``mu = RN(1/q)``
-  precomputed in :class:`_ReducerCache`.  One float multiply estimates
-  the quotient to within ±1; wrap-around ``uint64`` arithmetic recovers
-  the exact remainder with two conditional subtractions (proof in the
-  docstring).  Roughly 3x fewer integer divisions per element than the
-  split path.
-* an opt-in numba JIT kernel set (:mod:`repro.math.jit`) behind the
-  ``REPRO_JIT=1`` feature flag — same split-multiply formula compiled
-  per element, used only when numba is importable.
-
-:func:`modmul_vec` dispatches between them; all three are bit-identical
-by construction and by the property tests in
-``tests/test_fastpath_properties.py``.
+``uint64``.  :func:`modmul_vec` (via :func:`modmul_vec_barrett`) is
+exact anyway: a floating-point Barrett reduction with the per-modulus
+reciprocal ``mu = RN(1/q)`` precomputed in :class:`_ReducerCache`.  One
+float multiply estimates the quotient to within ±1; wrap-around
+``uint64`` arithmetic recovers the exact remainder with two conditional
+subtractions (proof in the docstring).  The property tests in
+``tests/test_fastpath_properties.py`` check it bit for bit against the
+split-operand reference ``modmul_vec_split`` in ``tests/oracles.py``.
 
 The module also provides the *hardware* reduction path used by CHAM: the
 paper chooses low-Hamming-weight primes (three non-zero bits each) so that
@@ -39,16 +27,13 @@ from typing import Dict, Iterable, List, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import REGISTRY as _METRICS
-from . import jit as _jit
 
 __all__ = [
     "MAX_MODULUS_BITS",
-    "SPLIT_BITS",
     "modadd_vec",
     "modsub_vec",
     "modneg_vec",
     "modmul_vec",
-    "modmul_vec_split",
     "modmul_vec_barrett",
     "modmul_scalar_vec",
     "modpow",
@@ -62,16 +47,10 @@ __all__ = [
     "decompose_low_hamming",
 ]
 
-#: Largest modulus width (bits) for which :func:`modmul_vec` is exact.
-#: With the 20-bit split every intermediate stays below 2**62 for
-#: 41-bit moduli (see :func:`modmul_vec`), comfortably inside uint64.
+#: Largest modulus width (bits) for which :func:`modmul_vec` is exact:
+#: below 2**41 the Barrett quotient estimate is off by at most one
+#: (see :func:`modmul_vec_barrett`).
 MAX_MODULUS_BITS = 41
-
-#: The left operand of a product is split at this many low bits.
-SPLIT_BITS = 20
-
-_LOW_MASK = np.uint64((1 << SPLIT_BITS) - 1)
-_SHIFT = np.uint64(SPLIT_BITS)
 
 IntArray = np.ndarray
 
@@ -217,26 +196,6 @@ def _check_modulus_bits(q: ModulusLike) -> None:
         )
 
 
-def modmul_vec_split(a: IntArray, b: IntArray, q: int) -> IntArray:
-    """Coefficient-wise ``(a * b) mod q`` via the split-operand path.
-
-    This is the original reference implementation and the differential
-    oracle of the Barrett/JIT fast paths — do not "optimize" it.
-
-    Exactness argument: write ``a = a_hi * 2**20 + a_lo``.  With
-    ``a, b < q < 2**41`` every intermediate below is at most
-    ``2**21 * 2**41 = 2**62`` (``a_hi * b``), ``(q-1) * 2**20 < 2**61``
-    (the shifted reduced high part), ``2**20 * 2**41 = 2**61``
-    (``a_lo * b``), or their sum ``< 2**62`` — all inside ``uint64``.
-    """
-    a = _as_u64(a)
-    b = _as_u64(b)
-    qq = np.uint64(q)
-    hi = (a >> _SHIFT) * b % qq
-    lo = (a & _LOW_MASK) * b % qq
-    return ((hi << _SHIFT) + lo) % qq
-
-
 def modmul_vec_barrett(a: IntArray, b: IntArray, q: ModulusLike) -> IntArray:
     """Coefficient-wise ``(a * b) mod q`` via floating-point Barrett.
 
@@ -285,10 +244,8 @@ def _barrett_core(
 def modmul_vec(a: IntArray, b: IntArray, q: ModulusLike) -> IntArray:
     """Coefficient-wise ``(a * b) mod q`` for ``q < 2**MAX_MODULUS_BITS``.
 
-    Dispatches to the numba JIT kernels when the ``REPRO_JIT=1`` feature
-    flag is active (and numba is importable), else to the Barrett fast
-    path (:func:`modmul_vec_barrett`).  Both are bit-identical to the
-    :func:`modmul_vec_split` oracle.
+    The Barrett path of :func:`modmul_vec_barrett` with call and
+    coefficient counters.
     """
     a = _as_u64(a)
     b = _as_u64(b)
@@ -302,8 +259,6 @@ def modmul_vec(a: IntArray, b: IntArray, q: ModulusLike) -> IntArray:
         )
     if isinstance(q, (int, np.integer)):
         _check_modulus_bits(q)
-        if _jit.enabled():
-            return _jit.modmul(a, b, int(q))
         red = _REDUCERS.get(int(q))
         return _barrett_core(a, b, red.qq, red.mu)
     qq = _as_u64(q)

@@ -8,7 +8,7 @@ attributable:
 * **self-time pass** — reconstructs the span tree per thread track
   (parents enclose children at ``depth + 1``) and charges each span its
   *self* time, so nested instrumentation (``batch.dot`` containing
-  ``batch.modmul`` containing nothing) never double-counts;
+  ``MULTPOLY`` containing nothing) never double-counts;
 * **kernel buckets** — maps span names onto named kernels (NTT hoist,
   modmul, INTT, rescale/extract, key-switch, pack) with per-level
   sub-buckets where the span carries a ``level`` argument;
@@ -47,22 +47,18 @@ __all__ = [
     "collapsed_stacks",
 ]
 
-#: span name -> kernel bucket.  Spans not listed here are *structural*
+#: span name -> kernel bucket: the paper's stage names, as the HMVP
+#: engine opens them.  Spans not listed here are *structural*
 #: (batch.batch, batch.dot, serve.request, ...): their self time is
 #: orchestration overhead, reported under ``other``.
 KERNEL_OF_SPAN: Dict[str, str] = {
-    "batch.hoist": "ntt_hoist",
     "NTT": "ntt_hoist",
-    "batch.modmul": "modmul",
     "MULTPOLY": "modmul",
-    "batch.intt": "intt",
     "INTT": "intt",
-    "batch.rescale_extract": "rescale_extract",
     "RESCALE+EXTRACT": "rescale_extract",
     "KEYSWITCH": "keyswitch",
     "PACK": "pack",
     "PACK.level": "pack",
-    "batch.pack": "pack",
     "batch.encode": "encode",
 }
 

@@ -1,0 +1,172 @@
+"""Reference oracles for the differential, property and golden tests.
+
+Nothing in ``src/`` calls these.  They are the scalar, obviously-correct
+forms of the fast kernels, and the tests check the kernels against them
+bit for bit, per RNS limb:
+
+* :func:`hmvp_oracle` — Algorithm 1 one row at a time (``encode_row`` →
+  ``multiply_plain`` → rescale → ``extract_lwe``), partial LWEs summed
+  across column tiles, then the recursive pack — the reference for
+  :class:`repro.core.batch.BatchedHmvp`;
+* :func:`pack_lwes_recursive` over :func:`pack_two_lwes` — Algorithms 3
+  and 2 as written, one RLWE merge per call — the reference for the
+  stacked PACKLWES tree in :mod:`repro.he.packing`;
+* :func:`modmul_vec_split` — the split-operand modular product, the
+  reference for :func:`repro.math.modular.modmul_vec`;
+* :func:`key_switch_raw_loop` — the per-digit / per-limb key-switch, the
+  reference for :func:`repro.he.keyswitch.key_switch_raw`.
+"""
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.hmvp import HmvpResult
+from repro.he.automorphism import apply_automorphism
+from repro.he.bfv import BfvScheme
+from repro.he.context import CheContext
+from repro.he.keys import GaloisKeyset, KeySwitchKey
+from repro.he.lwe import LweCiphertext, extract_lwe, lwe_to_rlwe
+from repro.he.packing import PackedResult
+from repro.he.rlwe import RlweCiphertext
+from repro.math.modular import modadd_vec, modmul_vec
+
+#: the left operand of a split product is cut at this many low bits
+SPLIT_BITS = 20
+_LOW_MASK = np.uint64((1 << SPLIT_BITS) - 1)
+_SHIFT = np.uint64(SPLIT_BITS)
+
+
+def modmul_vec_split(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Coefficient-wise ``(a * b) mod q`` via the split-operand path.
+
+    Exactness argument: write ``a = a_hi * 2**20 + a_lo``.  With
+    ``a, b < q < 2**41`` every intermediate below is at most
+    ``2**21 * 2**41 = 2**62`` (``a_hi * b``), ``(q-1) * 2**20 < 2**61``
+    (the shifted reduced high part), ``2**20 * 2**41 = 2**61``
+    (``a_lo * b``), or their sum ``< 2**62`` — all inside ``uint64``.
+    """
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    qq = np.uint64(q)
+    hi = (a >> _SHIFT) * b % qq
+    lo = (a & _LOW_MASK) * b % qq
+    return ((hi << _SHIFT) + lo) % qq
+
+
+def key_switch_raw_loop(
+    ctx: CheContext, c: np.ndarray, ksk: KeySwitchKey
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-digit / per-limb key-switch of ``c`` (``(L, *batch, n)``)."""
+    aug = ctx.aug_basis
+    ct_moduli = ctx.params.ct_moduli
+    if c.ndim < 2 or c.shape[0] != len(ct_moduli) or c.shape[-1] != ctx.n:
+        raise ValueError(f"expected normal-basis stack, got shape {c.shape}")
+    acc0 = np.zeros((len(aug),) + c.shape[1:], dtype=np.uint64)
+    acc1 = np.zeros((len(aug),) + c.shape[1:], dtype=np.uint64)
+    for i, _qi in enumerate(ct_moduli):
+        digit = c[i]  # the i-th RNS digit, an integer in [0, q_i)
+        digit_limbs = np.stack([digit % np.uint64(qj) for qj in aug])
+        digit_ntt = np.stack(
+            [ctx.ntt(qj).forward(digit_limbs[j]) for j, qj in enumerate(aug)]
+        )
+        for j, qj in enumerate(aug):
+            acc0[j] = modadd_vec(
+                acc0[j], modmul_vec(digit_ntt[j], ksk.b_ntt[i][j], qj), qj
+            )
+            acc1[j] = modadd_vec(
+                acc1[j], modmul_vec(digit_ntt[j], ksk.a_ntt[i][j], qj), qj
+            )
+    d0 = aug.rescale_last(
+        np.stack([ctx.ntt(qj).inverse(acc0[j]) for j, qj in enumerate(aug)])
+    )
+    d1 = aug.rescale_last(
+        np.stack([ctx.ntt(qj).inverse(acc1[j]) for j, qj in enumerate(aug)])
+    )
+    return d0, d1
+
+
+def pack_two_lwes(
+    level: int,
+    ct_even: RlweCiphertext,
+    ct_odd: RlweCiphertext,
+    galois_keys: GaloisKeyset,
+) -> RlweCiphertext:
+    """Algorithm 2: merge two level-``(k-1)`` packs into a level-``k`` pack."""
+    n = ct_even.ctx.n
+    stride = n >> level
+    if stride < 1:
+        raise ValueError(f"level {level} exceeds log2(n)={n.bit_length() - 1}")
+    g = (1 << level) + 1
+    ct_mono = ct_odd.multiply_monomial(stride)
+    ct_plus = ct_even + ct_mono
+    ct_minus = ct_even - ct_mono
+    return ct_plus + apply_automorphism(ct_minus, g, galois_keys)
+
+
+def pack_lwes_recursive(
+    lwes: Sequence[LweCiphertext], galois_keys: GaloisKeyset
+) -> PackedResult:
+    """Algorithm 3: recursively pack ``m`` LWE ciphertexts into one RLWE.
+
+    Inputs are zero-padded to the next power of two with transparent
+    zero ciphertexts; the recursion splits by index parity so the slot
+    order comes out natural.
+    """
+    if not lwes:
+        raise ValueError("nothing to pack")
+    ctx = lwes[0].ctx
+    rlwes: List[RlweCiphertext] = [lwe_to_rlwe(lwe) for lwe in lwes]
+    count = len(rlwes)
+    levels = max(count - 1, 0).bit_length()
+    target = 1 << levels
+    if target > ctx.n:
+        raise ValueError(f"cannot pack {count} > ring degree {ctx.n}")
+    basis = rlwes[0].basis
+    rlwes += [RlweCiphertext.zero(ctx, basis)] * (target - count)
+
+    def recurse(items: List[RlweCiphertext]) -> RlweCiphertext:
+        if len(items) == 1:
+            return items[0]
+        level = len(items).bit_length() - 1
+        return pack_two_lwes(
+            level, recurse(items[0::2]), recurse(items[1::2]), galois_keys
+        )
+
+    return PackedResult(
+        ct=recurse(rlwes), count=count, scale_pow2=levels, reductions=target - 1
+    )
+
+
+def hmvp_oracle(
+    scheme: BfvScheme,
+    matrix: np.ndarray,
+    ct_tiles: Sequence[RlweCiphertext],
+    tile_rows: Optional[int] = None,
+) -> HmvpResult:
+    """Algorithm 1 row by row for any shape: one pack per row tile.
+
+    ``ct_tiles`` holds one augmented vector ciphertext per ring-wide
+    column tile; each row's partial dot products are summed as LWE
+    ciphertexts across the column tiles before the pack.
+    """
+    matrix = np.asarray(matrix)
+    m, n_cols = matrix.shape
+    ring = scheme.params.n
+    if len(ct_tiles) != -(-n_cols // ring):
+        raise ValueError(f"need one vector tile per {ring} columns")
+    rows_per_pack = tile_rows or ring
+    packs = []
+    for row_start in range(0, m, rows_per_pack):
+        lwes: List[LweCiphertext] = []
+        for i in range(row_start, min(row_start + rows_per_pack, m)):
+            row_lwe: Optional[LweCiphertext] = None
+            for tile, ct_v in enumerate(ct_tiles):
+                row = matrix[i, tile * ring : (tile + 1) * ring]
+                prod = ct_v.multiply_plain(scheme.encoder.encode_row(row))
+                lwe = extract_lwe(prod.rescale(), 0)
+                row_lwe = lwe if row_lwe is None else row_lwe + lwe
+            assert row_lwe is not None
+            lwes.append(row_lwe)
+        packs.append(pack_lwes_recursive(lwes, scheme.galois_keys))
+    return HmvpResult(packs=packs, rows=m, cols=n_cols)

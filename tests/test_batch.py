@@ -10,7 +10,7 @@ from repro.core.batch import (
     EncodedMatrixCache,
     matrix_fingerprint,
 )
-from repro.core.hmvp import hmvp
+from tests.oracles import hmvp_oracle
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +30,10 @@ def test_batched_matches_single(scheme128, matrix, rng_module):
     got = batched.multiply_one(ct).decrypt(scheme128)
     want = matrix.astype(object) @ v.astype(object)
     assert np.array_equal(got, want)
-    # and agrees with the uncached path
-    ref = hmvp(scheme128, matrix, scheme128.encrypt_vector(v)).decrypt(scheme128)
-    assert np.array_equal(got, ref)
+    # and is the very ciphertext the scalar per-row oracle packs
+    ref = hmvp_oracle(scheme128, matrix, [ct])
+    assert np.array_equal(got, ref.decrypt(scheme128))
+    assert np.array_equal(batched.multiply_one(ct).packs[0].ct.c0, ref.packs[0].ct.c0)
 
 
 def test_batch_of_vectors(scheme128, matrix, rng_module):
@@ -47,12 +48,13 @@ def test_batch_of_vectors(scheme128, matrix, rng_module):
 
 
 def test_cached_ntt_savings(scheme128, matrix, rng_module):
-    """The batched path skips the per-vector row transforms."""
+    """The resident path skips the per-vector row transforms a one-shot
+    product pays."""
     batched = BatchedHmvp(scheme128, matrix)
     v = rng_module.integers(-10, 10, 128)
     ct = scheme128.encrypt_vector(v)
     cached_ops = batched.multiply_one(ct).ops
-    uncached_ops = hmvp(scheme128, matrix, scheme128.encrypt_vector(v)).ops
+    uncached_ops = BatchedHmvp.once(scheme128, matrix, [ct]).ops
     assert cached_ops.ntts < uncached_ops.ntts
     # exactly the m*limbs_aug row transforms are saved per vector
     m = matrix.shape[0]
@@ -72,8 +74,10 @@ def test_amortized_op_count(scheme128, matrix):
 def test_rejects_bad_inputs(scheme128, rng_module):
     with pytest.raises(ValueError):
         BatchedHmvp(scheme128, np.zeros(128))
-    with pytest.raises(ValueError):
-        BatchedHmvp(scheme128, np.zeros((129, 10)))
+    with pytest.raises(ValueError, match="tile_rows"):
+        BatchedHmvp(scheme128, np.zeros((129, 10)), tile_rows=129)
+    with pytest.raises(ValueError, match="nothing to pack"):
+        BatchedHmvp(scheme128, np.zeros((0, 128)))
     batched = BatchedHmvp(scheme128, rng_module.integers(-5, 5, (2, 128)))
     ct = scheme128.encrypt_vector([1], augmented=False)
     with pytest.raises(ValueError, match="augmented"):

@@ -10,9 +10,10 @@ tile boundaries so every shard rescales exactly what the unsharded path
 rescales.  Any divergence is a bug in the scatter/merge layer, never
 noise.
 
-References: :class:`repro.core.batch.BatchedHmvp` for ``m <= N`` and the
-scalar :class:`repro.core.hmvp.TiledHmvp` for ``m > N`` (which the
-batched engine itself was differentially tested against).
+Reference: the unsharded engine, :class:`repro.core.batch.BatchedHmvp`,
+for every shape (``m > N`` included), which
+``tests/test_differential_hmvp.py`` checks per limb against the scalar
+oracle on these same shapes.
 """
 
 import hashlib
@@ -27,7 +28,6 @@ from repro.cluster import (
     PartitionPlanner,
 )
 from repro.core.batch import BatchedHmvp
-from repro.core.hmvp import TiledHmvp
 from repro.hw.runtime import FaultInjector
 
 #: (rows, cols) at ring degree 128 — single-row, single-column,
@@ -44,10 +44,8 @@ SHAPES = [
 
 
 def _reference(scheme, matrix, ct_tiles):
-    """The unsharded result for any shape (the two engines agree)."""
-    if matrix.shape[0] <= scheme.params.n:
-        return BatchedHmvp(scheme, matrix).multiply_tiles(ct_tiles)
-    return TiledHmvp(scheme).multiply(matrix, ct_tiles)
+    """The unsharded result for any shape."""
+    return BatchedHmvp(scheme, matrix).multiply_tiles(ct_tiles)
 
 
 def _limb_digests(result):

@@ -323,7 +323,7 @@ class TestMultiplyWithoutRescale:
         assert fired(
             "REPRO203",
             "def f(ct, pt, ksk):\n"
-            "    prod = ct.multiply_plain_ntt(pt)\n"
+            "    prod = ct.multiply_plain(pt)\n"
             "    return apply_keyswitch(prod, ksk)\n",
         ) == [3]
 

@@ -1,10 +1,10 @@
 """Differential property suite for the kernel fast paths.
 
-Every optimized kernel in this repo keeps a slow, obviously-correct
-counterpart as its oracle:
+Every optimized kernel in this repo has a slow, obviously-correct
+counterpart in ``tests/oracles.py``:
 
-* ``modmul_vec`` (float-Barrett, unsigned-min selection, optional numba
-  JIT) vs ``modmul_vec_split`` (the 20-bit split-operand formula);
+* ``modmul_vec`` (float-Barrett, unsigned-min selection) vs
+  ``modmul_vec_split`` (the 20-bit split-operand formula);
 * ``modadd_vec`` / ``modsub_vec`` (unsigned-min selection) vs plain
   Python-int modular arithmetic;
 * ``key_switch_raw`` (fused-limb, one NTT sweep, combined key stack) vs
@@ -21,16 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.he.keyswitch import key_switch_raw, key_switch_raw_loop
-from repro.math import jit as repro_jit
+from repro.he.keyswitch import key_switch_raw
 from repro.math.modular import (
     MAX_MODULUS_BITS,
     modadd_vec,
     modmul_vec,
     modmul_vec_barrett,
-    modmul_vec_split,
     modsub_vec,
 )
+from tests.oracles import key_switch_raw_loop, modmul_vec_split
 
 # Odd moduli spanning the supported widths, including the paper's 39-bit
 # key-switch prime and the maximum 41-bit width where the float-Barrett
@@ -159,46 +158,3 @@ def test_fused_keyswitch_batched_matches_loop(ctx128, ks_fixture, batch_shape):
         d0_l, d1_l = key_switch_raw_loop(ctx128, flat[:, j], ks_fixture)
         assert np.array_equal(f0[:, j], d0_l)
         assert np.array_equal(f1[:, j], d1_l)
-
-
-# -- JIT differential (numba CI leg; no-op where numba is absent) --------------
-
-
-def test_jit_disabled_without_flag_or_numba():
-    """The flag alone must not enable dispatch when numba is absent, and
-    configure() reports the effective state truthfully."""
-    state = repro_jit.configure()
-    try:
-        effective = repro_jit.configure(True)
-        assert effective == repro_jit.available()
-        assert repro_jit.configure(False) is False
-    finally:
-        repro_jit.configure(state)
-
-
-@pytest.mark.skipif(not repro_jit.available(), reason="numba not installed")
-@given(q=_moduli, seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_jit_kernels_match_numpy_oracle(q, seed):
-    a, b = _arrays(seed, q)
-    assert np.array_equal(repro_jit.modmul(a, b, q), modmul_vec_split(a, b, q))
-    assert np.array_equal(repro_jit.modadd(a, b, q), modadd_vec(a, b, q))
-    assert np.array_equal(repro_jit.modsub(a, b, q), modsub_vec(a, b, q))
-
-
-@pytest.mark.skipif(not repro_jit.available(), reason="numba not installed")
-def test_jit_dispatch_is_bit_identical_end_to_end(ctx128, ks_fixture):
-    """With dispatch flipped on, the whole fused key-switch must stay
-    bit-identical to the pure-NumPy run."""
-    rng = np.random.default_rng(21)
-    c = _random_limb_stack(ctx128, rng)
-    state = repro_jit.configure()
-    try:
-        repro_jit.configure(False)
-        ref = key_switch_raw(ctx128, c, ks_fixture)
-        repro_jit.configure(True)
-        got = key_switch_raw(ctx128, c, ks_fixture)
-    finally:
-        repro_jit.configure(state)
-    assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])

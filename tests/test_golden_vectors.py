@@ -27,7 +27,7 @@ from repro.cluster import (
     MembershipSchedule,
     PartitionPlanner,
 )
-from repro.core.hmvp import hmvp
+from repro.core.batch import BatchedHmvp
 from repro.he.bfv import BfvScheme
 from repro.he.params import toy_params
 from repro.he.serialization import pack_limbs
@@ -88,7 +88,7 @@ def _limb_digests(ct):
 def _generate():
     scheme, matrix, vector = _build()
     ct_v = scheme.encrypt_vector(vector)
-    result = hmvp(scheme, matrix, ct_v)
+    result = BatchedHmvp.once(scheme, matrix, [ct_v])
     products = result.decrypt(scheme)[:ROWS]
     return {
         "description": (
@@ -392,6 +392,17 @@ def test_golden_replay_matches_products_and_digests():
     assert fresh["expected_products"] == golden["expected_products"]
     assert fresh["input_ct_digests"] == golden["input_ct_digests"]
     assert fresh["result_ct_digests"] == golden["result_ct_digests"]
+
+
+def test_golden_scalar_oracle_matches_the_legacy_digests():
+    """The scalar per-row oracle packs the very ciphertext the engine
+    does: the legacy section pins both."""
+    from tests.oracles import hmvp_oracle
+
+    golden = _load()
+    scheme, matrix, vector = _build()
+    result = hmvp_oracle(scheme, matrix, [scheme.encrypt_vector(vector)])
+    assert _limb_digests(result.packs[0].ct) == golden["result_ct_digests"]
 
 
 def test_golden_digest_shape():

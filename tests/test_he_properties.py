@@ -76,15 +76,19 @@ def test_plain_mult_distributes_over_addition(ctx128, sk128, enc, a, b, c):
 @settings(max_examples=8, deadline=None)
 def test_hmvp_linearity(scheme128, m, seed):
     """HMVP(A, u + v) == HMVP(A, u) + HMVP(A, v) elementwise."""
-    from repro.core.hmvp import hmvp
+    from repro.core.batch import BatchedHmvp, EncodedMatrixCache
 
     r = np.random.default_rng(seed)
     a = r.integers(-40, 40, (m, N))
     u = r.integers(-40, 40, N)
     v = r.integers(-40, 40, N)
-    lhs = hmvp(scheme128, a, scheme128.encrypt_vector(u + v)).decrypt(scheme128)
-    rhs_u = hmvp(scheme128, a, scheme128.encrypt_vector(u)).decrypt(scheme128)
-    rhs_v = hmvp(scheme128, a, scheme128.encrypt_vector(v)).decrypt(scheme128)
+    engine = BatchedHmvp(scheme128, a, cache=EncodedMatrixCache())
+    lhs, rhs_u, rhs_v = (
+        res.decrypt(scheme128)
+        for res in engine.multiply_batch(
+            [scheme128.encrypt_vector(x) for x in (u + v, u, v)]
+        )
+    )
     assert np.array_equal(lhs, rhs_u + rhs_v)
 
 
@@ -131,13 +135,18 @@ def test_automorphism_commutes_with_addition(ctx128, sk128, galois128, enc, g, s
 @given(seed=st.integers(min_value=0, max_value=2**20))
 @settings(max_examples=6, deadline=None)
 def test_tiled_hmvp_random_shapes(scheme128, seed):
-    from repro.core.hmvp import TiledHmvp
+    from repro.core.batch import BatchedHmvp, encrypt_tiles
+    from tests.oracles import hmvp_oracle
 
     r = np.random.default_rng(seed)
     m = int(r.integers(1, 40))
     n = int(r.integers(1, 300))
     a = r.integers(-20, 20, (m, n))
     v = r.integers(-20, 20, n)
-    tiler = TiledHmvp(scheme128)
-    got = tiler(a, v)
-    assert np.array_equal(got, a.astype(object) @ v.astype(object))
+    ct_tiles = encrypt_tiles(scheme128, v)
+    got = BatchedHmvp.once(scheme128, a, ct_tiles)
+    assert np.array_equal(got.decrypt(scheme128), a.astype(object) @ v.astype(object))
+    # and the packed ciphertext is the scalar oracle's, limb for limb
+    want = hmvp_oracle(scheme128, a, ct_tiles).packs[0].ct
+    assert np.array_equal(got.packs[0].ct.c0, want.c0)
+    assert np.array_equal(got.packs[0].ct.c1, want.c1)

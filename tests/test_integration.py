@@ -4,7 +4,7 @@ ring degree (N = 4096, the paper's Section II-F parameters)."""
 import numpy as np
 import pytest
 
-from repro.core.hmvp import hmvp
+from repro.core.batch import BatchedHmvp
 from repro.he.bfv import BfvScheme
 from repro.he.params import cham_params, toy_params
 
@@ -23,7 +23,7 @@ def test_production_dot_product_and_pack(production_scheme, rng):
     v = rng.integers(-(1 << 15), 1 << 15, n)
     ct = scheme.encrypt_vector(v)
     rows = rng.integers(-(1 << 15), 1 << 15, (4, n))
-    res = hmvp(scheme, rows, ct)
+    res = BatchedHmvp.once(scheme, rows, [ct])
     got = res.decrypt(scheme)
     want = rows.astype(object) @ v.astype(object)
     assert np.array_equal(got, want)
@@ -78,7 +78,7 @@ def test_end_to_end_perf_and_function_share_op_counts(scheme128, rng):
 
     a = rng.integers(-20, 20, (8, 128))
     v = rng.integers(-20, 20, 128)
-    res = hmvp(scheme128, a, scheme128.encrypt_vector(v))
+    res = BatchedHmvp.once(scheme128, a, [scheme128.encrypt_vector(v)])
     cpu = CpuCostModel()
     priced = (
         res.ops.dot_products * cpu.dot_product_s()
@@ -86,7 +86,9 @@ def test_end_to_end_perf_and_function_share_op_counts(scheme128, rng):
     )
     assert priced > 0
     # pricing must scale with the functional op counts
-    res2 = hmvp(scheme128, np.vstack([a, a]), scheme128.encrypt_vector(v))
+    res2 = BatchedHmvp.once(
+        scheme128, np.vstack([a, a]), [scheme128.encrypt_vector(v)]
+    )
     priced2 = (
         res2.ops.dot_products * cpu.dot_product_s()
         + res2.ops.pack_reductions * cpu.pack_reduction_s()

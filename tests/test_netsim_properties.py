@@ -21,7 +21,7 @@ the cluster layer happens to generate:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterExecutor
@@ -139,7 +139,9 @@ def test_ring_all_to_all_does_not_deadlock():
 def test_links_deliver_in_fifo_order(kind, nodes, transfers):
     """Per link: the arrive order equals the send order, flit for flit."""
     sim = _run_load(kind, nodes, transfers, record_orders=True)
-    assert any(sim.sent_order.values())  # the load crossed at least a link
+    # a load between endpoints of one router (two nodes on one fat-tree
+    # leaf) crosses no link and says nothing about FIFO order
+    assume(any(sim.sent_order.values()))
     for link_id, sent in sim.sent_order.items():
         assert sim.arrive_order[link_id] == sent
 

@@ -278,7 +278,7 @@ def test_ntt_and_noise_instrumentation_end_to_end():
     counters, the noise-budget gauge, and the required span names."""
     import numpy as np
 
-    from repro.core.hmvp import hmvp
+    from repro.core.batch import BatchedHmvp
     from repro.he.bfv import BfvScheme
     from repro.he.noise import packed_slot_positions
     from repro.he.params import toy_params
@@ -291,7 +291,7 @@ def test_ntt_and_noise_instrumentation_end_to_end():
     rng = np.random.default_rng(3)
     matrix = rng.integers(-8, 8, (rows, params.n))
     vector = rng.integers(-8, 8, params.n)
-    result = hmvp(scheme, matrix, scheme.encrypt_vector(vector))
+    result = BatchedHmvp.once(scheme, matrix, [scheme.encrypt_vector(vector)])
     scheme.noise_budget(
         result.packs[0].ct, packed_slot_positions(params.n, rows)
     )

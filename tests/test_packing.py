@@ -1,4 +1,8 @@
-"""Tests for PACKTWOLWES / PACKLWES (Algorithms 2 and 3)."""
+"""Tests for PACKTWOLWES / PACKLWES (Algorithms 2 and 3).
+
+The stacked level-order tree (``repro.he.packing``) is checked byte for
+byte against the recursive pack of ``tests/oracles.py``.
+"""
 
 import numpy as np
 import pytest
@@ -7,12 +11,13 @@ from repro.he.encoder import CoefficientEncoder
 from repro.he.lwe import extract_lwe
 from repro.he.noise import invariant_noise_budget, packed_slot_positions
 from repro.he.packing import (
+    _pack_tree,
     pack_lwes,
-    pack_lwes_batched,
     pack_reduction_count,
-    pack_two_lwes,
+    pack_stacked_lwes,
 )
 from repro.he.rlwe import encrypt
+from tests.oracles import pack_lwes_recursive, pack_two_lwes
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +81,7 @@ def test_pack_too_many_raises(ctx128, sk128, galois128, enc, rng):
 
 
 def test_pack_two_level_bound(ctx128, sk128, galois128, enc, rng):
+    """The oracle merge refuses a level past log2(n)."""
     lwes = make_lwes(ctx128, sk128, enc, [1, 2], rng)
     from repro.he.lwe import lwe_to_rlwe
 
@@ -130,17 +136,17 @@ def test_pack_reduction_count_validation():
         pack_reduction_count(0)
 
 
-# -- batched (vectorized level-order) pack -------------------------------------
+# -- the stacked (vectorized level-order) tree against the oracle ---------------
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 16])
 def test_batched_pack_bit_identical(ctx128, sk128, galois128, enc, rng, count):
-    """pack_lwes_batched must reproduce the recursive pack byte-for-byte:
+    """pack_lwes must reproduce the recursive oracle byte-for-byte:
     same merge tree, same slot order, same noise."""
     values = [int(v) for v in rng.integers(-1000, 1000, count)]
     lwes = make_lwes(ctx128, sk128, enc, values, rng)
-    ref = pack_lwes(lwes, galois128)
-    got = pack_lwes_batched(lwes, galois128)
+    ref = pack_lwes_recursive(lwes, galois128)
+    got = pack_lwes(lwes, galois128)
     assert np.array_equal(got.ct.c0, ref.ct.c0)
     assert np.array_equal(got.ct.c1, ref.ct.c1)
     assert got.count == ref.count
@@ -156,7 +162,7 @@ def test_batched_pack_decodes(ctx128, sk128, galois128, enc, rng, count):
     pack_reduction_count's level count."""
     values = [int(v) for v in rng.integers(-1000, 1000, count)]
     lwes = make_lwes(ctx128, sk128, enc, values, rng)
-    packed = pack_lwes_batched(lwes, galois128)
+    packed = pack_lwes(lwes, galois128)
     levels = max(count - 1, 0).bit_length()
     assert packed.scale_pow2 == levels
     assert packed.slot_stride == 128 >> levels
@@ -167,25 +173,29 @@ def test_batched_pack_decodes(ctx128, sk128, galois128, enc, rng, count):
     assert [int(x) for x in got] == values
 
 
-def test_batched_pack_empty_raises(galois128):
-    with pytest.raises(ValueError):
-        pack_lwes_batched([], galois128)
+def test_batched_pack_empty_raises(ctx128, galois128):
+    basis = ctx128.ct_basis
+    b = np.zeros((len(basis), 0), dtype=np.uint64)
+    a = np.zeros((len(basis), 0, 128), dtype=np.uint64)
+    with pytest.raises(ValueError, match="nothing to pack"):
+        pack_stacked_lwes(ctx128, basis, b, a, galois128)
 
 
-def test_batched_pack_too_many_raises(ctx128, sk128, galois128, enc, rng):
-    lwes = make_lwes(ctx128, sk128, enc, [0], rng) * 129
+def test_batched_pack_too_many_raises(ctx128, galois128):
+    basis = ctx128.ct_basis
+    b = np.zeros((len(basis), 129), dtype=np.uint64)
+    a = np.zeros((len(basis), 129, 128), dtype=np.uint64)
     with pytest.raises(ValueError, match="ring degree"):
-        pack_lwes_batched(lwes, galois128)
+        pack_stacked_lwes(ctx128, basis, b, a, galois128)
 
 
-@pytest.mark.parametrize("reqs,count", [(1, 4), (3, 4), (4, 7)])
+@pytest.mark.parametrize("reqs,count", [(1, 4), (3, 4), (4, 7), (17, 8)])
 def test_pack_many_matches_per_request(ctx128, sk128, galois128, enc, rng, reqs, count):
-    """Cross-request pack: pack_stacked_lwes_many must return, for every
-    request, exactly the ciphertext pack_stacked_lwes yields when run on
-    that request alone — the R pack trees share one level schedule but
-    must not mix data across the request axis."""
-    from repro.he.packing import pack_stacked_lwes, pack_stacked_lwes_many
-
+    """Cross-request pack: the tree over R stacked requests must return,
+    for every request, exactly the ciphertext pack_stacked_lwes yields
+    when run on that request alone — the R pack trees share one level
+    schedule (and its pair slices) but must not mix data across the
+    request axis."""
     basis = ctx128.ct_basis
     b = np.stack(
         [
@@ -205,7 +215,7 @@ def test_pack_many_matches_per_request(ctx128, sk128, galois128, enc, rng, reqs,
         ],
         axis=1,
     )  # (L, R, m, n)
-    many = pack_stacked_lwes_many(ctx128, basis, b, a, galois128)
+    many = _pack_tree(ctx128, basis, b, a, galois128)
     assert len(many) == reqs
     for r in range(reqs):
         one = pack_stacked_lwes(ctx128, basis, b[:, r], a[:, r], galois128)
@@ -217,13 +227,11 @@ def test_pack_many_matches_per_request(ctx128, sk128, galois128, enc, rng, reqs,
 
 
 def test_pack_many_rejects_flat_stack(ctx128, galois128):
-    from repro.he.packing import pack_stacked_lwes_many
-
     basis = ctx128.ct_basis
     b = np.zeros((len(basis), 4), dtype=np.uint64)
     a = np.zeros((len(basis), 4, 128), dtype=np.uint64)
     with pytest.raises(ValueError, match=r"\(L, R, m\)"):
-        pack_stacked_lwes_many(ctx128, basis, b, a, galois128)
+        _pack_tree(ctx128, basis, b, a, galois128)
 
 
 def test_batched_keyswitch_matches_sequential(ctx128, sk128, galois128, rng):

@@ -72,7 +72,7 @@ def test_generated_set_is_usable():
     """A generated non-paper set must drive the actual pipeline."""
     import numpy as np
 
-    from repro.core.hmvp import hmvp
+    from repro.core.batch import BatchedHmvp
     from repro.he.bfv import BfvScheme
 
     params = generate_params(
@@ -82,7 +82,7 @@ def test_generated_set_is_usable():
     rng = np.random.default_rng(0)
     a = rng.integers(-50, 50, (3, 128))
     v = rng.integers(-50, 50, 128)
-    res = hmvp(scheme, a, scheme.encrypt_vector(v))
+    res = BatchedHmvp.once(scheme, a, [scheme.encrypt_vector(v)])
     assert np.array_equal(
         res.decrypt(scheme), a.astype(object) @ v.astype(object)
     )

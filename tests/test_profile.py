@@ -23,18 +23,18 @@ def _synthetic_tracer():
     """A hand-built two-level tree on one track:
 
     batch.batch [0, 100)
-      batch.hoist  [0, 20)
+      NTT          [0, 20)
       batch.dot    [20, 80)
-        batch.modmul [20, 30)
-        batch.intt   [30, 70)
+        MULTPOLY   [20, 30)
+        INTT       [30, 70)
       KEYSWITCH    [80, 95)
     """
     tr = Tracer(enabled=True)
     tr.add_span("batch.batch", ts_us=0.0, dur_us=100.0, depth=0)
-    tr.add_span("batch.hoist", ts_us=0.0, dur_us=20.0, depth=1)
+    tr.add_span("NTT", ts_us=0.0, dur_us=20.0, depth=1)
     tr.add_span("batch.dot", ts_us=20.0, dur_us=60.0, depth=1)
-    tr.add_span("batch.modmul", ts_us=20.0, dur_us=10.0, depth=2)
-    tr.add_span("batch.intt", ts_us=30.0, dur_us=40.0, depth=2, limbs=3)
+    tr.add_span("MULTPOLY", ts_us=20.0, dur_us=10.0, depth=2)
+    tr.add_span("INTT", ts_us=30.0, dur_us=40.0, depth=2, limbs=3)
     tr.add_span("KEYSWITCH", ts_us=80.0, dur_us=15.0, depth=1, limbs=2)
     return tr
 
@@ -47,9 +47,9 @@ def test_self_time_subtracts_children_once():
     assert by_name["batch.batch"] == pytest.approx(5.0)
     assert by_name["batch.dot"] == pytest.approx(10.0)
     # leaves keep their full duration
-    assert by_name["batch.hoist"] == pytest.approx(20.0)
-    assert by_name["batch.modmul"] == pytest.approx(10.0)
-    assert by_name["batch.intt"] == pytest.approx(40.0)
+    assert by_name["NTT"] == pytest.approx(20.0)
+    assert by_name["MULTPOLY"] == pytest.approx(10.0)
+    assert by_name["INTT"] == pytest.approx(40.0)
     assert by_name["KEYSWITCH"] == pytest.approx(15.0)
 
 
@@ -57,7 +57,7 @@ def test_self_time_separates_tracks():
     """Identical intervals on different tracks never parent each other."""
     tr = Tracer(enabled=True)
     tr.add_span("batch.batch", ts_us=0.0, dur_us=50.0, track=1, depth=0)
-    tr.add_span("batch.intt", ts_us=0.0, dur_us=50.0, track=2, depth=1)
+    tr.add_span("INTT", ts_us=0.0, dur_us=50.0, track=2, depth=1)
     self_us = span_self_times(tr.spans)
     assert all(v == pytest.approx(50.0) for v in self_us.values())
 
@@ -183,7 +183,7 @@ def test_collapsed_stacks_paths_and_totals():
     )
     assert lines["batch.batch"] == 5
     assert lines["batch.batch;batch.dot"] == 10
-    assert lines["batch.batch;batch.dot;batch.intt"] == 40
+    assert lines["batch.batch;batch.dot;INTT"] == 40
     assert lines["batch.batch;KEYSWITCH"] == 15
     # totals reconstruct the root duration exactly
     assert sum(lines.values()) == 100

@@ -205,53 +205,3 @@ def test_flood_noise_hides_computation_noise(ctx128, sk128, enc, rng):
     bits_a = absolute_noise_bits(ctx128, sk128, a)
     bits_b = absolute_noise_bits(ctx128, sk128, b)
     assert abs(bits_a - bits_b) < 1.5
-
-
-# -- NTT-domain plaintexts (the matrix-resident representation) ---------------
-
-
-def test_multiply_plain_ntt_matches_multiply_plain(ctx128, sk128, enc, rng):
-    """The cached-transform product is bit-identical to multiply_plain."""
-    from repro.he.rlwe import NttPlaintext
-
-    v = rng.integers(-100, 100, 128)
-    row = rng.integers(-50, 50, 128)
-    ct = encrypt(ctx128, sk128, enc.encode_vector(v), augmented=True)
-    pt_row = enc.encode_row(row)
-    ref = ct.multiply_plain(pt_row)
-    nt = NttPlaintext.from_plaintext(ctx128, pt_row, ct.basis)
-    got = ct.multiply_plain_ntt(nt)
-    assert np.array_equal(got.c0, ref.c0)
-    assert np.array_equal(got.c1, ref.c1)
-    # and with the ciphertext transform hoisted explicitly
-    hoisted = ct.ntt_components()
-    got2 = ct.multiply_plain_ntt(nt, comp_ntts=hoisted)
-    assert np.array_equal(got2.c0, ref.c0)
-    assert np.array_equal(got2.c1, ref.c1)
-
-
-def test_ntt_plaintext_is_frozen_and_validated(ctx128, enc, rng):
-    from repro.he.rlwe import NttPlaintext
-
-    nt = NttPlaintext.from_plaintext(
-        ctx128, enc.encode_row(rng.integers(-5, 5, 128)), ctx128.aug_basis
-    )
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        nt.limbs[0, 0] = 1
-    with _pytest.raises(ValueError, match="incompatible"):
-        NttPlaintext(ctx128.aug_basis, np.zeros((1, 4), dtype=np.uint64))
-
-
-def test_multiply_plain_ntt_basis_mismatch(ctx128, sk128, enc, rng):
-    from repro.he.rlwe import NttPlaintext
-
-    ct = encrypt(ctx128, sk128, enc.encode_coeffs([1]), augmented=True)
-    nt = NttPlaintext.from_plaintext(
-        ctx128, enc.encode_coeffs([2]), ctx128.ct_basis
-    )
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="basis mismatch"):
-        ct.multiply_plain_ntt(nt)

@@ -31,7 +31,6 @@ from repro.cluster import (
     PartitionPlanner,
 )
 from repro.core.batch import BatchedHmvp
-from repro.core.hmvp import TiledHmvp
 from repro.hw.runtime import FaultInjector
 
 TOPOLOGIES = (None, "ideal", "ring", "mesh", "fat-tree")
@@ -49,9 +48,7 @@ SHAPES = [
 
 
 def _reference(scheme, matrix, ct_tiles):
-    if matrix.shape[0] <= scheme.params.n:
-        return BatchedHmvp(scheme, matrix).multiply_tiles(ct_tiles)
-    return TiledHmvp(scheme).multiply(matrix, ct_tiles)
+    return BatchedHmvp(scheme, matrix).multiply_tiles(ct_tiles)
 
 
 def _limb_digests(result):

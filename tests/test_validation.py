@@ -22,22 +22,21 @@ def test_counts_exposed():
 
 def test_functional_layer_reconciles(scheme128, rng):
     """A real functional run's op counts agree with driver and pipeline."""
-    from repro.core.hmvp import hmvp
+    from repro.core.batch import BatchedHmvp
 
     a = rng.integers(-20, 20, (8, 128))
     v = rng.integers(-20, 20, 128)
-    result = hmvp(scheme128, a, scheme128.encrypt_vector(v))
+    result = BatchedHmvp.once(scheme128, a, [scheme128.encrypt_vector(v)])
     report = validate_consistency(8, 1, functional_ops=result.ops)
     assert report.consistent, report.mismatches
 
 
 def test_functional_tiled_reconciles(scheme128, rng):
-    from repro.core.hmvp import TiledHmvp
+    from repro.core.batch import BatchedHmvp, encrypt_tiles
 
     a = rng.integers(-10, 10, (6, 300))
     v = rng.integers(-10, 10, 300)
-    tiler = TiledHmvp(scheme128)
-    result = tiler.multiply(a, tiler.encrypt_vector(v))
+    result = BatchedHmvp.once(scheme128, a, encrypt_tiles(scheme128, v))
     report = validate_consistency(6, 3, functional_ops=result.ops)
     assert report.consistent, report.mismatches
 
