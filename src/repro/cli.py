@@ -867,7 +867,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--rows", type=int, default=8)
     batch.add_argument("--batch", type=int, default=8)
-    batch.add_argument("--workers", type=int, default=2)
+    batch.add_argument("--workers", type=int, default=None,
+                       help="worker-pool width (default: the CPUs this "
+                            "process may run on)")
     batch.add_argument("--seed", type=int, default=0)
     batch.add_argument("--json", action="store_true",
                        help="dump results + metrics snapshot as JSON")

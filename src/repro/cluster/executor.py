@@ -622,26 +622,6 @@ class ClusterExecutor:
 
     # -- the exact data path ----------------------------------------------
 
-    def _request_op_count(self) -> HmvpOpCount:
-        """Exact op mix of one gathered request (matches the unsharded
-        engine: the shard/merge structure changes *where* additions run,
-        never how many)."""
-        ring = self.plan.ring_n
-        limbs = len(self.scheme.ctx.ct_basis)
-        limbs_aug = limbs + 1
-        ops = HmvpOpCount()
-        for col_start in range(0, self.cols, ring):
-            width = min(ring, self.cols - col_start)
-            ops = ops + HmvpOpCount.for_cached_dot_products(
-                self.rows, width, limbs_aug
-            )
-        if self.plan.col_tiles > 1:
-            ops.lwe_additions += self.rows * (self.plan.col_tiles - 1)
-        for row_start in range(0, self.rows, self._pack_tile_rows):
-            count = min(self._pack_tile_rows, self.rows - row_start)
-            ops = ops + HmvpOpCount.for_pack(count, limbs, limbs_aug)
-        return ops
-
     def _gather(
         self,
         partials: Dict[int, "Tuple[np.ndarray, np.ndarray]"],
@@ -698,7 +678,13 @@ class ClusterExecutor:
             packs=packs,
             rows=self.rows,
             cols=self.cols,
-            ops=self._request_op_count(),
+            ops=HmvpOpCount.for_request(
+                self.rows,
+                self.cols,
+                self.plan.ring_n,
+                self._pack_tile_rows,
+                len(ct_basis),
+            ),
         )
 
     def execute(

@@ -36,6 +36,7 @@ op-count deltas feed the performance model and
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +63,7 @@ __all__ = [
     "MATRIX_CACHE",
     "encode_matrix",
     "encrypt_tiles",
+    "host_cpus",
     "BatchedHmvp",
     "BatchDrainReport",
     "BatchQueue",
@@ -322,6 +324,14 @@ def encrypt_tiles(
     ]
 
 
+def host_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class BatchedHmvp:
     """The HMVP engine: one plaintext matrix applied to encrypted vectors.
 
@@ -347,7 +357,8 @@ class BatchedHmvp:
     tile_rows:
         Rows per row tile, ``1..N`` (defaults to the ring degree ``N``).
     workers:
-        Default worker-pool width for :meth:`multiply_batch`.
+        Default worker-pool width for :meth:`multiply_batch`; defaults
+        to :func:`host_cpus`.
     """
 
     def __init__(
@@ -366,7 +377,7 @@ class BatchedHmvp:
         if 0 in matrix.shape:
             raise ValueError(f"nothing to pack: empty {matrix.shape} matrix")
         self.matrix = matrix
-        self.workers = workers
+        self.workers = workers if workers is not None else host_cpus()
         self.encoded = encode_matrix(
             scheme, matrix, cache=cache, tile_rows=tile_rows
         )
@@ -436,6 +447,10 @@ class BatchedHmvp:
         a group's ``(L_aug, 2, R, n)`` hoisted components.
 
         Returns the stacked LWEs ``(b (L, R, rows), a (L, R, rows, n))``.
+        EXTRACTLWES keeps only coefficient 0 of the c0 product, so ``b``
+        is read from its transform slots
+        (:meth:`~repro.math.ntt.FusedLimbNtt.inverse_constant`) and
+        rescaled as scalars; only the c1 product is inverse-transformed.
         """
         ctx = self.scheme.ctx
         aug = ctx.aug_basis
@@ -450,13 +465,14 @@ class BatchedHmvp:
                     aug.modulus_column.reshape(-1, 1, 1, 1, 1),
                 )
             with obs.span("INTT", rows=rows, limbs=len(aug)):
-                d = ctx.intt_limbs(prods, aug)
+                d1 = ctx.intt_limbs(prods[:, 1], aug)
             with obs.span("RESCALE+EXTRACT", rows=rows):
-                r = aug.rescale_last(d)  # (L, 2, R, rows, n)
-                r0, r1 = r[:, 0], r[:, 1]
                 # vectorized EXTRACTLWES at index 0: b = c0[..0];
                 # a[0] = c1[..0], a[j] = -c1[..n-j] for j >= 1
-                b = np.ascontiguousarray(r0[..., 0])
+                b = aug.rescale_last(
+                    ctx.fused_ntt(aug).inverse_constant(prods[:, 0])
+                )
+                r1 = aug.rescale_last(d1)  # (L, R, rows, n)
                 a = np.empty_like(r1)
                 a[..., 0] = r1[..., 0]
                 ct_col = ctx.ct_basis.modulus_column.reshape(-1, 1, 1, 1)
@@ -498,20 +514,13 @@ class BatchedHmvp:
     def request_op_count(self) -> HmvpOpCount:
         """Operation counts of one request against the resident matrix."""
         m, n_cols = self.matrix.shape
-        limbs = len(self.scheme.ctx.ct_basis)
-        limbs_aug = limbs + 1
-        ring = self.encoded.ring_n
-        ops = HmvpOpCount()
-        for col_start in range(0, n_cols, ring):
-            width = min(ring, n_cols - col_start)
-            ops = ops + HmvpOpCount.for_cached_dot_products(m, width, limbs_aug)
-        if self.encoded.col_tiles > 1:
-            ops.lwe_additions += m * (self.encoded.col_tiles - 1)
-        for rt in range(self.encoded.row_tiles):
-            ops = ops + HmvpOpCount.for_pack(
-                self.encoded.row_tile_rows(rt), limbs, limbs_aug
-            )
-        return ops
+        return HmvpOpCount.for_request(
+            m,
+            n_cols,
+            self.encoded.ring_n,
+            self.encoded.tile_rows,
+            len(self.scheme.ctx.ct_basis),
+        )
 
     # -- public entry points ---------------------------------------------------
 
@@ -604,7 +613,7 @@ class BatchedHmvp:
             )
         if not cts:
             return []
-        pool_width = workers if workers is not None else (self.workers or 1)
+        pool_width = workers if workers is not None else self.workers
         size = self._group_size()
         groups = [cts[i : i + size] for i in range(0, len(cts), size)]
         row_tiles = self.encoded.row_tiles

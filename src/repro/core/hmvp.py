@@ -36,6 +36,12 @@ class HmvpOpCount:
     augmented ciphertext (``2*(L+1)`` polys) once per row plus the
     augmented plaintext (``L+1`` polys) per row, and inverse-transforms
     the product.
+
+    These are the paper's op mix, which prices the CHAM and CPU models.
+    ``intts`` still counts the inverse transforms of the c0 product,
+    although the software engine reads its one extracted coefficient
+    from the transform slots and skips them
+    (:meth:`repro.core.batch.BatchedHmvp._tile_partial`).
     """
 
     rows: int = 0
@@ -95,6 +101,30 @@ class HmvpOpCount:
             rescales=rows,
             extracts=rows,
         )
+
+    @classmethod
+    def for_request(
+        cls, rows: int, cols: int, ring: int, tile_rows: int, limbs: int
+    ) -> "HmvpOpCount":
+        """Op mix of one request against a resident ``rows x cols`` matrix.
+
+        One cached dot-product stage per ring-wide column tile, the LWE
+        additions that merge column tiles, and one pack per row tile of
+        ``tile_rows`` rows.  Sharding a matrix moves where these run,
+        never how many there are.
+        """
+        limbs_aug = limbs + 1
+        ops = cls()
+        for col_start in range(0, cols, ring):
+            width = min(ring, cols - col_start)
+            ops = ops + cls.for_cached_dot_products(rows, width, limbs_aug)
+        col_tiles = -(-cols // ring)
+        if col_tiles > 1:
+            ops.lwe_additions += rows * (col_tiles - 1)
+        for row_start in range(0, rows, tile_rows):
+            count = min(tile_rows, rows - row_start)
+            ops = ops + cls.for_pack(count, limbs, limbs_aug)
+        return ops
 
     @classmethod
     def for_pack(cls, count: int, limbs: int, limbs_aug: int) -> "HmvpOpCount":

@@ -86,7 +86,11 @@ def pack_limbs(limbs: np.ndarray, moduli: Tuple[int, ...]) -> bytes:
 def unpack_limbs(
     data: bytes, moduli: Tuple[int, ...], n: int
 ) -> "tuple[np.ndarray, int]":
-    """Inverse of :func:`pack_limbs`; returns ``(limbs, bytes_consumed)``."""
+    """Inverse of :func:`pack_limbs`; returns ``(limbs, bytes_consumed)``.
+
+    Raises ``ValueError`` on truncated data or a coefficient outside
+    ``[0, q)`` for its limb's modulus ``q``.
+    """
     limbs = np.empty((len(moduli), n), dtype=np.uint64)
     offset = 0
     for i, q in enumerate(moduli):
@@ -103,6 +107,9 @@ def unpack_limbs(
             axis=1
         )
         offset += total_bytes
+    q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+    if np.any(limbs >= q_col):
+        raise ValueError("coefficient out of range for its modulus")
     return limbs, offset
 
 
@@ -110,10 +117,25 @@ def _header(type_tag: int, n: int, limb_count: int) -> bytes:
     return MAGIC + struct.pack("<BBHI", _VERSION, type_tag, limb_count, n)
 
 
+def _unpack(fmt: str, data: bytes, off: int) -> tuple:
+    """``struct.unpack_from`` that reports short data as ``ValueError``."""
+    if len(data) < off + struct.calcsize(fmt):
+        raise ValueError("truncated wire object")
+    return struct.unpack_from(fmt, data, off)
+
+
+def _check_length(data: bytes, used: int) -> None:
+    """A wire object must end exactly where its last field does."""
+    if len(data) < used:
+        raise ValueError("truncated wire object")
+    if len(data) > used:
+        raise ValueError(f"{len(data) - used} trailing bytes after wire object")
+
+
 def _parse_header(data: bytes, expect_tag: int) -> "tuple[int, int, int]":
     if data[:4] != MAGIC:
         raise ValueError("bad magic; not a CHAM wire object")
-    version, tag, limb_count, n = struct.unpack("<BBHI", data[4:12])
+    version, tag, limb_count, n = _unpack("<BBHI", data, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported wire version {version}")
     if tag != expect_tag:
@@ -127,11 +149,14 @@ def serialize_plaintext(pt: Plaintext) -> bytes:
 
 
 def deserialize_plaintext(data: bytes, t: int) -> Plaintext:
-    n, _limbs, off = _parse_header(data, _TYPE_PLAINTEXT)
-    (stored_t,) = struct.unpack("<Q", data[off : off + 8])
+    n, limb_count, off = _parse_header(data, _TYPE_PLAINTEXT)
+    if limb_count != 1:
+        raise ValueError(f"plaintext with {limb_count} limbs, expected 1")
+    (stored_t,) = _unpack("<Q", data, off)
     if stored_t != t & ((1 << 64) - 1):
         raise ValueError("plaintext modulus mismatch")
-    limbs, _ = unpack_limbs(data[off + 8 :], (t,), n)
+    limbs, used = unpack_limbs(data[off + 8 :], (t,), n)
+    _check_length(data, off + 8 + used)
     return Plaintext(limbs[0], t)
 
 
@@ -141,19 +166,23 @@ def serialize_rlwe(ct: RlweCiphertext) -> bytes:
     return _header(_TYPE_RLWE, ct.ctx.n, len(moduli)) + body
 
 
+def _basis_for(ctx: CheContext, limb_count: int) -> RnsBasis:
+    """The ciphertext or augmented basis, by the header's limb count."""
+    if limb_count == len(ctx.ct_basis):
+        return ctx.ct_basis
+    if limb_count == len(ctx.aug_basis):
+        return ctx.aug_basis
+    raise ValueError(f"unexpected limb count {limb_count}")
+
+
 def deserialize_rlwe(data: bytes, ctx: CheContext) -> RlweCiphertext:
     n, limb_count, off = _parse_header(data, _TYPE_RLWE)
     if n != ctx.n:
         raise ValueError(f"ring degree {n} != context degree {ctx.n}")
-    basis: RnsBasis
-    if limb_count == len(ctx.ct_basis):
-        basis = ctx.ct_basis
-    elif limb_count == len(ctx.aug_basis):
-        basis = ctx.aug_basis
-    else:
-        raise ValueError(f"unexpected limb count {limb_count}")
-    c0, used = unpack_limbs(data[off:], basis.moduli, n)
-    c1, _ = unpack_limbs(data[off + used :], basis.moduli, n)
+    basis = _basis_for(ctx, limb_count)
+    c0, used0 = unpack_limbs(data[off:], basis.moduli, n)
+    c1, used1 = unpack_limbs(data[off + used0 :], basis.moduli, n)
+    _check_length(data, off + used0 + used1)
     return RlweCiphertext(ctx, basis, c0, c1)
 
 
@@ -167,9 +196,10 @@ def deserialize_lwe(data: bytes, ctx: CheContext) -> LweCiphertext:
     n, limb_count, off = _parse_header(data, _TYPE_LWE)
     if n != ctx.n:
         raise ValueError("ring degree mismatch")
-    basis = ctx.ct_basis if limb_count == len(ctx.ct_basis) else ctx.aug_basis
-    b, used = unpack_limbs(data[off:], basis.moduli, 1)
-    a, _ = unpack_limbs(data[off + used :], basis.moduli, n)
+    basis = _basis_for(ctx, limb_count)
+    b, used_b = unpack_limbs(data[off:], basis.moduli, 1)
+    a, used_a = unpack_limbs(data[off + used_b :], basis.moduli, n)
+    _check_length(data, off + used_b + used_a)
     return LweCiphertext(ctx, basis, b[:, 0], a)
 
 
@@ -226,11 +256,16 @@ def serialize_secret_key(sk: "SecretKey") -> bytes:
 def deserialize_secret_key(data: bytes) -> "SecretKey":
     from .keys import SecretKey
 
-    n, _limbs, off = _parse_header(data, _TYPE_SECRET)
+    n, limb_count, off = _parse_header(data, _TYPE_SECRET)
+    if limb_count != 0:
+        raise ValueError(f"secret key with {limb_count} limbs, expected 0")
+    _check_length(data, off + (2 * n + 7) // 8)
     acc = int.from_bytes(data[off:], "little")
     signed = np.empty(n, dtype=np.int64)
     for i in range(n):
         v = (acc >> (2 * i)) & 0b11
+        if v == 3:
+            raise ValueError("secret-key coefficient code 3 is not ternary")
         signed[i] = -1 if v == 2 else v
     return SecretKey(signed)
 
@@ -254,7 +289,7 @@ def deserialize_keyswitch_key(data: bytes, ctx: CheContext) -> "KeySwitchKey":
     n, limb_count, off = _parse_header(data, _TYPE_KSK)
     if n != ctx.n or limb_count != len(ctx.aug_basis):
         raise ValueError("key-switch key header mismatch")
-    (decomp,) = struct.unpack("<H", data[off : off + 2])
+    (decomp,) = _unpack("<H", data, off)
     off += 2
     moduli = ctx.aug_basis.moduli
     b_parts, a_parts = [], []
@@ -265,6 +300,7 @@ def deserialize_keyswitch_key(data: bytes, ctx: CheContext) -> "KeySwitchKey":
         off += used
         b_parts.append(b)
         a_parts.append(a)
+    _check_length(data, off)
     return KeySwitchKey(b_ntt=b_parts, a_ntt=a_parts)
 
 
@@ -287,14 +323,15 @@ def deserialize_galois_keyset(data: bytes, ctx: CheContext) -> "GaloisKeyset":
 
     if data[:4] != MAGIC:
         raise ValueError("bad magic; not a CHAM wire object")
-    version, tag, count, _zero = struct.unpack("<BBHI", data[4:12])
+    version, tag, count, _zero = _unpack("<BBHI", data, 4)
     if version != _VERSION or tag != _TYPE_GALOIS:
         raise ValueError("not a Galois keyset blob")
     off = 12
     keyset = GaloisKeyset()
     for _ in range(count):
-        g, length = struct.unpack("<II", data[off : off + 8])
+        g, length = _unpack("<II", data, off)
         off += 8
         keyset.keys[g] = deserialize_keyswitch_key(data[off : off + length], ctx)
         off += length
+    _check_length(data, off)
     return keyset

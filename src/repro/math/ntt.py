@@ -216,14 +216,19 @@ class FusedLimbNtt:
         self._fwd_stages = _stage_slabs(psis, forward=True, fused=True)
         self._inv_stages = _stage_slabs(inv_psis, forward=False, fused=True)
 
-    def _prepare(self, a: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        a = np.ascontiguousarray(np.asarray(a, dtype=np.uint64))
+    def _check(self, a: np.ndarray) -> None:
         if a.ndim < 2 or a.shape[0] != len(self.moduli) or a.shape[-1] != self.n:
             raise ValueError(
                 f"expected a ({len(self.moduli)}, ..., {self.n}) limb stack, "
                 f"got shape {a.shape}"
             )
-        return a.reshape(len(self.moduli), -1, self.n).copy(), a.shape
+
+    def _prepare(self, a: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        # one C-ordered copy, whatever the input's strides: the butterflies
+        # write into it in place
+        work = np.array(a, dtype=np.uint64, order="C")
+        self._check(work)
+        return work.reshape(len(self.moduli), -1, self.n), work.shape
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Forward NTT of every limb of a ``(L, ..., n)`` stack at once."""
@@ -257,6 +262,27 @@ class FusedLimbNtt:
         if _METRICS.enabled:
             _METRICS.inc("math.ntt.inverse", work.shape[0] * work.shape[1])
         return work.reshape(shape)
+
+    def inverse_constant(self, a: np.ndarray) -> np.ndarray:
+        """Coefficient 0 of the inverse NTT of every polynomial in a
+        ``(L, ..., n)`` stack, read straight from the transform slots.
+
+        The slots of a negacyclic transform are the polynomial's values
+        at the ``n`` odd powers of ψ, whose ``k``-th powers sum to zero
+        for ``0 < k < n``; so coefficient 0 is ``n^-1`` times the sum of
+        the slots.  A sum ignores the bit-reversed slot order.  Equal per
+        limb to ``inverse(a)[..., 0]``, without the butterflies.  Returns
+        the ``(L, ...)`` stack.
+        """
+        a = np.asarray(a, dtype=np.uint64)
+        self._check(a)
+        col = (-1,) + (1,) * (a.ndim - 2)
+        q = self._q_col.reshape(col)
+        # every slot is below q < 2**MAX_MODULUS_BITS = 2**41, so the sum
+        # of n slots is below n * q < 2**64 for any n below 2**23: the
+        # uint64 sum is exact
+        total = a.sum(axis=-1, dtype=np.uint64) % q
+        return modmul_vec(total, self._n_inv.reshape(col), q)
 
 
 def _stage_slabs(table: np.ndarray, forward: bool, fused: bool = False):

@@ -350,7 +350,11 @@ def profile_batched_hmvp(
     )
     rng = np.random.default_rng(seed)
     matrix = rng.integers(-8, 8, (rows, n))
-    engine = BatchedHmvp(scheme, matrix, cache=EncodedMatrixCache())
+    # one thread: wall shares are fractions of one timeline, which pool
+    # threads running kernels side by side would overfill
+    engine = BatchedHmvp(
+        scheme, matrix, cache=EncodedMatrixCache(), workers=1
+    )
     cts = [
         scheme.encrypt_vector(rng.integers(-8, 8, n)) for _ in range(batch)
     ]

@@ -11,7 +11,8 @@ front-end for the reproduction:
   adaptively (drain on ``max_batch`` or ``max_wait_ms``), and dispatches
   batches across ``engines`` independent workers, each owning a
   :class:`~repro.core.batch.BatchedHmvp` engine (one shared
-  encoded-matrix cache: the matrix is encoded once process-wide) and a
+  encoded-matrix cache: the matrix is encoded once process-wide; the
+  engines split the host's CPUs between their worker pools) and a
   fault-injectable :class:`~repro.hw.runtime.FpgaRuntime`;
 * fault tolerance — a job whose simulated offload hits
   :class:`~repro.hw.runtime.DeviceHangError` /
@@ -44,7 +45,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import obs
-from ..core.batch import BatchedHmvp, EncodedMatrixCache
+from ..core.batch import BatchedHmvp, EncodedMatrixCache, host_cpus
 from ..he.bfv import BfvScheme
 from ..he.rlwe import RlweCiphertext
 from ..hw.arch import ChamConfig, cham_default_config
@@ -96,8 +97,6 @@ class ServeConfig:
     #: resets one watchdog episode needs before a hung device recovers
     resets_to_recover: int = 1
     seed: int = 0
-    #: NumPy worker-pool width inside each engine's multiply_batch
-    workers_per_engine: int = 1
 
 
 class RequestStatus(Enum):
@@ -317,13 +316,13 @@ class HmvpServer:
         matrix = np.asarray(matrix)
         # one shared cache: the first engine encodes, the rest hit
         shared_cache = cache if cache is not None else EncodedMatrixCache()
+        # the engine workers already run concurrently, so they split the
+        # host's CPUs between their multiply_batch pools
+        pool_width = max(1, host_cpus() // self.config.engines)
         self.workers: List[EngineWorker] = []
         for engine_id in range(self.config.engines):
             engine = BatchedHmvp(
-                scheme,
-                matrix,
-                cache=shared_cache,
-                workers=self.config.workers_per_engine,
+                scheme, matrix, cache=shared_cache, workers=pool_width
             )
             if fault_injectors is not None:
                 faults = fault_injectors[engine_id]

@@ -1,9 +1,12 @@
 """Tests for batched (multi-vector) HMVP."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import batch as batch_module
 from repro.core.batch import (
     BatchedHmvp,
     BatchQueue,
@@ -161,14 +164,37 @@ def test_encoded_tiles_are_frozen(scheme128, matrix):
 # -- worker pool and request queue ---------------------------------------------
 
 
-def test_multiply_batch_with_workers(scheme128, matrix, rng_module):
+def test_multiply_batch_with_workers(
+    scheme128, matrix, rng_module, monkeypatch
+):
     """The thread-pool fan-out returns the same ciphertext results in
-    request order."""
+    request order.
+
+    24 requests against the 6-row matrix form three request groups
+    (10, 10 and 4), so four workers really share the tasks; a tiny
+    switch interval makes the threads interleave inside the kernels."""
+    pools = []
+
+    class CountingPool(batch_module.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(batch_module, "ThreadPoolExecutor", CountingPool)
     batched = BatchedHmvp(scheme128, matrix)
-    vs = [rng_module.integers(-40, 40, 128) for _ in range(4)]
+    assert batched.workers == batch_module.host_cpus()
+    vs = [rng_module.integers(-40, 40, 128) for _ in range(24)]
     cts = [scheme128.encrypt_vector(v) for v in vs]
+    assert len(cts) > 2 * batched._group_size()
     serial = batched.multiply_batch(cts, workers=1)
-    pooled = batched.multiply_batch(cts, workers=4)
+    assert not pools
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = batched.multiply_batch(cts, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(pools) == 1
     for s, p, v in zip(serial, pooled, vs):
         assert np.array_equal(s.packs[0].ct.c0, p.packs[0].ct.c0)
         assert np.array_equal(s.packs[0].ct.c1, p.packs[0].ct.c1)

@@ -10,6 +10,7 @@ from repro.math.ntt import (
     NegacyclicNtt,
     bit_reverse,
     bit_reverse_indices,
+    fused_limb_ntt,
     intt,
     negacyclic_convolution_schoolbook,
     ntt,
@@ -148,3 +149,36 @@ def test_convolution_commutes_property(xs, ys):
     assert np.array_equal(
         ctx.multiply(a, b), negacyclic_convolution_schoolbook(a, b, q)
     )
+
+
+@given(
+    log_n=st.integers(min_value=1, max_value=12),
+    toy=st.booleans(),
+    batch=st.lists(st.integers(min_value=1, max_value=3), max_size=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_constant_coefficient_is_scaled_slot_sum(log_n, toy, batch, seed):
+    """Coefficient 0 of an inverse transform is ``n^-1`` times the sum of
+    the transform slots (mod q), over the CHAM moduli and a toy basis up
+    to the 41-bit cap — how the HMVP engine reads EXTRACTLWES's ``b``."""
+    n = 1 << log_n
+    if toy:
+        moduli = tuple(find_ntt_prime(bits, n) for bits in (17, 30, 41))
+    else:
+        moduli = tuple(MODULI)
+    rng = np.random.default_rng(seed)
+    x = np.stack(
+        [rng.integers(0, q, (*batch, n), dtype=np.uint64) for q in moduli]
+    )
+    want = np.stack(
+        [
+            np.asarray(x[i].astype(object).sum(axis=-1), dtype=object)
+            * pow(n, -1, q)
+            % q
+            for i, q in enumerate(moduli)
+        ]
+    ).astype(np.uint64)
+    fused = fused_limb_ntt(n, moduli)
+    assert np.array_equal(fused.inverse(x)[..., 0], want)
+    assert np.array_equal(fused.inverse_constant(x), want)

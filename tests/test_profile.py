@@ -148,15 +148,29 @@ def test_keyswitch_wall_share_stays_bounded():
     model prices keyswitch at ~43% of the modeled work for this shape,
     so that is the physical floor for a uniformly-efficient
     implementation — the gate enforces < 65% (comfortably under the old
-    kernels, robust to runner noise) rather than the aspirational 40%,
-    which would require keyswitch to out-optimize every other kernel."""
-    run = profile_batched_hmvp(rows=8, n=128, batch=8, plain_bits=40)
-    by_kernel = {r.kernel: r for r in run.ledger.rows}
-    assert "keyswitch" in by_kernel, run.ledger.render_text()
-    share = by_kernel["keyswitch"].wall_share
+    kernels) rather than the aspirational 40%, which would require
+    keyswitch to out-optimize every other kernel.
+
+    One profiled run on a loaded 2-core host swings by several points,
+    so the gate reads the run with the median share of five."""
+
+    def keyswitch(run):
+        by_kernel = {r.kernel: r for r in run.ledger.rows}
+        assert "keyswitch" in by_kernel, run.ledger.render_text()
+        return by_kernel["keyswitch"]
+
+    runs = sorted(
+        (
+            profile_batched_hmvp(rows=8, n=128, batch=8, plain_bits=40)
+            for _ in range(5)
+        ),
+        key=lambda run: keyswitch(run).wall_share,
+    )
+    run = runs[2]
+    share = keyswitch(run).wall_share
     assert share < 0.65, run.ledger.render_text()
     # and it must no longer be more than ~3x its sim-priced share
-    sim_share = by_kernel["keyswitch"].sim_cycles / run.ledger.sim_total_cycles
+    sim_share = keyswitch(run).sim_cycles / run.ledger.sim_total_cycles
     assert share < 3 * sim_share, run.ledger.render_text()
 
 

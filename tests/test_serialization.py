@@ -300,3 +300,108 @@ def test_pack_roundtrip_property():
         assert np.array_equal(back, limbs)
 
     inner()
+
+
+@pytest.fixture(scope="module")
+def wire_blobs(ctx128, sk128, enc):
+    """One well-formed blob per deserializer, with how to read it back,
+    where its body starts, and the moduli of its first and last limb."""
+    from repro.he.keys import generate_keyswitch_key, generate_secret_key
+    from repro.he.serialization import (
+        deserialize_keyswitch_key,
+        deserialize_secret_key,
+        serialize_keyswitch_key,
+        serialize_secret_key,
+    )
+
+    r = np.random.default_rng(7)
+    pt = enc.encode_coeffs(r.integers(-1000, 1000, 128))
+    ct = encrypt(ctx128, sk128, pt, augmented=True)
+    lwe = extract_lwe(encrypt(ctx128, sk128, pt, augmented=False), 3)
+    ksk = generate_keyswitch_key(ctx128, generate_secret_key(ctx128), sk128)
+    ct_moduli = ctx128.ct_basis.moduli
+    aug_moduli = ctx128.aug_basis.moduli
+    return {
+        # ternary codes are 2 bits each and must be below 3
+        "secret_key": (
+            serialize_secret_key(sk128),
+            deserialize_secret_key,
+            12,
+            (3, 3),
+        ),
+        "plaintext": (
+            serialize_plaintext(pt),
+            lambda data: deserialize_plaintext(data, enc.t),
+            20,
+            (enc.t, enc.t),
+        ),
+        "rlwe": (
+            serialize_rlwe(ct),
+            lambda data: deserialize_rlwe(data, ctx128),
+            12,
+            (aug_moduli[0], aug_moduli[-1]),
+        ),
+        "lwe": (
+            serialize_lwe(lwe),
+            lambda data: deserialize_lwe(data, ctx128),
+            12,
+            (ct_moduli[0], ct_moduli[-1]),
+        ),
+        "keyswitch_key": (
+            serialize_keyswitch_key(ksk, aug_moduli),
+            lambda data: deserialize_keyswitch_key(data, ctx128),
+            14,
+            (aug_moduli[0], aug_moduli[-1]),
+        ),
+    }
+
+
+def _all_ones(data, start, count):
+    return data[:start] + b"\xff" * count + data[start + count :]
+
+
+def _coeff_bytes(q):
+    """Bytes that cover one coefficient of modulus ``q`` wherever it starts."""
+    return (q - 1).bit_length() // 8 + 2
+
+
+#: name -> (blob, body offset, (first q, last q)) -> malformed blob
+_MALFORMED = {
+    "truncated-empty": lambda d, off, qs: d[:0],
+    "truncated-in-magic": lambda d, off, qs: d[:3],
+    "truncated-in-header": lambda d, off, qs: d[:11],
+    "truncated-after-header": lambda d, off, qs: d[:12],
+    "truncated-mid-body": lambda d, off, qs: d[: len(d) // 2],
+    "truncated-last-byte": lambda d, off, qs: d[:-1],
+    "bad-magic": lambda d, off, qs: b"XHAM" + d[4:],
+    "bad-version": lambda d, off, qs: d[:4] + bytes([2]) + d[5:],
+    "bad-type-tag": lambda d, off, qs: d[:5] + bytes([99]) + d[6:],
+    "bad-limb-count": lambda d, off, qs: d[:6] + bytes([7, 0]) + d[8:],
+    # every bit of a coefficient set gives 2**bits - 1 >= q: the first
+    # coefficient of the first limb, and the last of the last limb (the
+    # blob's last bits, before < 8 bits of zero padding)
+    "first-coeff-ge-q": lambda d, off, qs: _all_ones(
+        d, off, _coeff_bytes(qs[0])
+    ),
+    "last-coeff-ge-q": lambda d, off, qs: _all_ones(
+        d, len(d) - _coeff_bytes(qs[1]), _coeff_bytes(qs[1])
+    ),
+    "trailing-byte": lambda d, off, qs: d + b"\0",
+    "trailing-blob": lambda d, off, qs: d + d,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MALFORMED))
+@pytest.mark.parametrize(
+    "kind", ["secret_key", "plaintext", "rlwe", "lwe", "keyswitch_key"]
+)
+def test_malformed_wire_bytes_raise_value_error(wire_blobs, kind, mutation):
+    """Malformed bytes raise ``ValueError`` — never ``struct.error``, never
+    a silently wrong object.  (A flip that keeps a coefficient below its
+    modulus is indistinguishable from valid data without a checksum.)"""
+    blob, read, body_off, moduli = wire_blobs[kind]
+    read(blob)  # the unmodified blob parses
+    bad = _MALFORMED[mutation](blob, body_off, moduli)
+    assert bad != blob
+    with pytest.raises(ValueError):
+        read(bad)

@@ -79,6 +79,21 @@ def test_matrix_encoded_once_across_engines(scheme128, matrix8, cts8):
     assert server.cache.hits == 2
 
 
+@pytest.mark.parametrize(
+    "cpus, engines, width", [(4, 1, 4), (4, 2, 2), (4, 3, 1), (2, 2, 1), (1, 2, 1)]
+)
+def test_engines_split_the_host_cpus(
+    scheme128, matrix8, monkeypatch, cpus, engines, width
+):
+    """Each engine's multiply_batch pool gets its share of the CPUs the
+    process may run on, and never less than one thread."""
+    from repro.serve import server as server_module
+
+    monkeypatch.setattr(server_module, "host_cpus", lambda: cpus)
+    server = HmvpServer(scheme128, matrix8, ServeConfig(engines=engines))
+    assert [w.engine.workers for w in server.workers] == [width] * engines
+
+
 def test_scripted_faults_all_retried_to_success(scheme128, matrix8, vectors8, cts8):
     """Every first offload attempt hangs, every retry runs: all requests
     complete OK with exactly one retry each — deterministic, no
