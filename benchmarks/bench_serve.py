@@ -44,7 +44,6 @@ def _serve(bench_scheme, workload, engines):
         queue_capacity=REQUESTS,
         fault_rate=FAULT_RATE,
         max_retries=2,
-        backoff_base_ms=0.5,
         seed=11,
     )
     return serve_requests(bench_scheme, matrix, cts, config)
@@ -117,7 +116,6 @@ def test_serving_survives_heavy_faults(bench_scheme, workload):
         queue_capacity=REQUESTS,
         fault_rate=0.30,
         max_retries=2,
-        backoff_base_ms=0.5,
         seed=13,
     )
     rep = serve_requests(bench_scheme, matrix, cts, config)

@@ -20,14 +20,6 @@ from .heterolr import (
 from .beaver import BeaverGenerator, BeaverTriple, MatrixBeaverGenerator, verify_triple
 from .protocol import Channel, Message, Party, wire_size
 from .delphi import DelphiInference, LayerCorrelation
-from .nn import (
-    ConvLayer,
-    FlattenLayer,
-    LinearLayer,
-    PrivateNetwork,
-    ReluLayer,
-    Sequential,
-)
 from .inference import PrivateInference, TinyModel
 
 __all__ = [
@@ -50,12 +42,6 @@ __all__ = [
     "wire_size",
     "DelphiInference",
     "LayerCorrelation",
-    "ConvLayer",
-    "FlattenLayer",
-    "LinearLayer",
-    "PrivateNetwork",
-    "ReluLayer",
-    "Sequential",
     "BeaverTriple",
     "verify_triple",
     "PrivateInference",

@@ -5,15 +5,16 @@ Gives a downstream user the zero-code tour:
 ``demo``
     one encrypted matrix-vector product end to end (toy ring by default,
     ``--production`` for N=4096);
-``tables``
-    print the headline reproduced tables (Table II, Table III, operator
-    throughputs, roofline);
 ``trace``
     render the macro-pipeline Gantt for a given row count;
 ``params``
     show (or generate) a parameter set;
 ``dse``
     run the design-space sweep and print the frontier;
+``report``
+    compute every headline number (Tables II and III, operator
+    throughputs, roofline, design space, HMVP, applications, noise) and
+    print or write the markdown reproduction report;
 ``metrics``
     run a small instrumented workload and print the metrics-registry
     snapshot (counters / gauges / histograms);
@@ -103,43 +104,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"noise  : packed slot budget "
           f"{scheme.noise_budget(result.packs[0].ct, pos):.1f} bits")
     return 0 if ok else 1
-
-
-def _cmd_tables(_args: argparse.Namespace) -> int:
-    from repro.hw.arch import cham_default_config
-    from repro.hw.perf import ChamPerfModel, CpuCostModel
-    from repro.hw.resources import (
-        TABLE3_NTT_VARIANTS,
-        engine_resources,
-        total_resources,
-        utilization,
-    )
-    from repro.hw.roofline import roofline_points
-
-    cfg = cham_default_config()
-    print("== Table II: utilization on VU9P ==")
-    for key, val in utilization(total_resources(cfg)).items():
-        print(f"  {key:5s} {val:6.2f}%")
-    eng = engine_resources(cfg.engine)
-    print(f"  (engine: LUT {eng.lut:,}, DSP {eng.dsp})")
-
-    print("== Table III: NTT module variants ==")
-    for mem, (lut, bram) in TABLE3_NTT_VARIANTS.items():
-        print(f"  {mem:10s} LUT {lut:6,}  BRAM {bram:2d}  latency 6144")
-
-    cham = ChamPerfModel()
-    cpu = CpuCostModel()
-    print("== operator throughputs ==")
-    print(f"  NTT offload : {cham.ntt_offload_throughput():,.0f} ops/s (paper 195k)")
-    ks = cham.keyswitch_throughput()
-    print(f"  key-switch  : {ks:,.0f} ops/s = "
-          f"{ks / cpu.keyswitch_throughput():.0f}x CPU (paper 65k @ 105x)")
-
-    print("== roofline (Fig. 2a) ==")
-    for name, k in roofline_points().items():
-        print(f"  {name:9s} {k.intensity:6.2f} op/B -> "
-              f"{100 * k.peak_fraction:5.1f}% of peak")
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -815,9 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--trace-out", metavar="FILE", default=None,
                       help="write a Chrome-trace span file of the run")
     demo.set_defaults(func=_cmd_demo)
-
-    tables = sub.add_parser("tables", help="print headline reproduced tables")
-    tables.set_defaults(func=_cmd_tables)
 
     trace = sub.add_parser("trace", help="render a pipeline Gantt")
     trace.add_argument("--rows", type=int, default=32)

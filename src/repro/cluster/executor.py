@@ -66,6 +66,9 @@ __all__ = [
 
 #: shard-descriptor register file base (disjoint from the serve layer's)
 _REGISTER_BASE = 0x2000
+#: per-request failover budget in *simulated* milliseconds when
+#: ``execute`` is given none
+DEADLINE_MS = 60_000.0
 
 
 @dataclass
@@ -78,13 +81,10 @@ class ClusterConfig:
     replication: int = 2
     #: extra passes over a shard's replica list before degrading to CPU
     max_retries: int = 1
-    #: per-request failover budget in *simulated* milliseconds
-    deadline_ms: float = 60_000.0
     #: device hang probability per shard offload (per-node injectors
     #: seeded ``seed + node_id``)
     fault_rate: float = 0.0
     register_flip_rate: float = 0.0
-    resets_to_recover: int = 1
     seed: int = 0
     #: rows per output pack of the gathered result; defaults to the ring
     #: degree (the unsharded engine's tile structure)
@@ -319,7 +319,6 @@ class ClusterExecutor:
             seed=self.config.seed,
             fault_rate=self.config.fault_rate,
             register_flip_rate=self.config.register_flip_rate,
-            resets_to_recover=self.config.resets_to_recover,
         )
         #: event-driven interconnect; None keeps comm free (the
         #: historical behavior, and the calibration point the netsim
@@ -698,9 +697,7 @@ class ClusterExecutor:
         matrices) or one ciphertext per ring-wide column tile.
         """
         ct_tiles = self._normalize(request)
-        budget_ms = (
-            deadline_ms if deadline_ms is not None else self.config.deadline_ms
-        )
+        budget_ms = deadline_ms if deadline_ms is not None else DEADLINE_MS
         # membership events indexed by this request's sequence number fire
         # before it is served; placement is re-validated after every event
         if self.controller is not None:

@@ -416,7 +416,6 @@ class ClusterController:
             seed=config.seed,
             fault_rate=config.fault_rate,
             register_flip_rate=config.register_flip_rate,
-            resets_to_recover=config.resets_to_recover,
         )
         executor.nodes[node_id] = node
         executor.placement.add_node(node_id)

@@ -222,7 +222,6 @@ def make_cluster_node(
     seed: int = 0,
     fault_rate: float = 0.0,
     register_flip_rate: float = 0.0,
-    resets_to_recover: int = 1,
 ) -> ClusterNode:
     """One bare node (runtime + empty cache, no engines).
 
@@ -237,7 +236,6 @@ def make_cluster_node(
         faults = FaultInjector(
             hang_prob=fault_rate,
             register_flip_prob=register_flip_rate,
-            resets_to_recover=resets_to_recover,
             seed=seed + node_id,
         )
     # lane = node_id + 1: pid 0 stays the coordinator's lane in traces
@@ -261,7 +259,6 @@ def build_nodes(
     seed: int = 0,
     fault_rate: float = 0.0,
     register_flip_rate: float = 0.0,
-    resets_to_recover: int = 1,
 ) -> Dict[int, ClusterNode]:
     """Construct the node pool and stage every hosted shard's encoding.
 
@@ -284,7 +281,6 @@ def build_nodes(
             seed=seed,
             fault_rate=fault_rate,
             register_flip_rate=register_flip_rate,
-            resets_to_recover=resets_to_recover,
         )
     for shard in plan.shards:
         for node_id in placement.nodes_for(shard.shard_id):

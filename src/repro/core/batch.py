@@ -415,6 +415,29 @@ class BatchedHmvp:
                 f"{self.matrix.shape[1]} columns, got {count}"
             )
 
+    def check_request(self, ct: RlweCiphertext) -> None:
+        """Raise ``ValueError`` unless ``ct`` is an augmented vector
+        ciphertext over this engine's ring degree and modulus basis.
+
+        Every path that admits a request runs this check (the hoist,
+        :class:`BatchQueue` and the serving layer's ``submit``), so a
+        foreign ciphertext fails on its own instead of inside a batch
+        it shares with valid requests.
+        """
+        ctx = self.scheme.ctx
+        if ct.ctx.n != ctx.n:
+            raise ValueError(
+                f"ciphertext ring degree {ct.ctx.n} != engine ring "
+                f"degree {ctx.n}"
+            )
+        if not ct.is_augmented:
+            raise ValueError("vector ciphertext must be augmented")
+        if ct.basis.moduli != ctx.aug_basis.moduli:
+            raise ValueError(
+                f"ciphertext modulus basis {ct.basis.moduli} != engine "
+                f"basis {ctx.aug_basis.moduli}"
+            )
+
     def _group_size(self) -> int:
         """Requests per stacked group (see :data:`STACK_COEFFS`)."""
         rows = self.encoded.row_tile_rows(0)
@@ -426,8 +449,7 @@ class BatchedHmvp:
         Returns the ``(L_aug, 2, R, n)`` stack of both components.
         """
         for ct in cts:
-            if not ct.is_augmented:
-                raise ValueError("vector ciphertext must be augmented")
+            self.check_request(ct)
         ctx = self.scheme.ctx
         aug = ctx.aug_basis
         with obs.span("NTT", limbs=len(aug), polys=2, requests=len(cts)):
@@ -668,12 +690,10 @@ class BatchedHmvp:
     ) -> List[Job]:
         """Simulator jobs for a batch: one per ``(request, row tile)``.
 
-        The engine-worker API shared by :class:`BatchQueue` and the
-        serving layer (:mod:`repro.serve`): every consumer prices a
-        drained batch with identical job shapes, so scheduler reports
-        and RAS accounting are comparable across entry points.
-        ``ctxs`` (parallel to ``request_ids``) tags each request's jobs
-        with its trace context so runtime attempt spans join the trace.
+        :class:`BatchQueue` prices each drained batch with these jobs on
+        its :class:`~repro.hw.runtime.JobScheduler`.  ``ctxs`` (parallel
+        to ``request_ids``) tags each request's jobs with its trace
+        context so runtime attempt spans join the trace.
         """
         jobs = []
         for idx, rid in enumerate(request_ids):
@@ -753,8 +773,7 @@ class BatchQueue:
         layer that already minted a trace root), the ambient one, or a
         fresh root — so its simulator jobs are attributable end to end.
         """
-        if not ct_v.is_augmented:
-            raise ValueError("vector ciphertext must be augmented")
+        self.engine.check_request(ct_v)
         if ctx is None and obs.TRACER.enabled:
             ctx = obs.current_context() or obs.TRACER.new_trace()
         request_id = self._next_request

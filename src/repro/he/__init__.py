@@ -25,14 +25,6 @@ from .keys import (
 )
 from .rlwe import RlweCiphertext, decrypt, encrypt, encrypt_pk
 from .lwe import LweCiphertext, decrypt_lwe, extract_lwe, lwe_to_rlwe
-from .lwe_ops import (
-    LweKeySwitchKey,
-    PlainLwe,
-    decrypt_plain_lwe,
-    generate_lwe_keyswitch_key,
-    lwe_keyswitch,
-    lwe_modswitch,
-)
 from .keyswitch import apply_keyswitch, key_switch_raw
 from .automorphism import apply_automorphism, apply_automorphism_with_key
 from .packing import PackedResult, pack_lwes, pack_reduction_count
@@ -85,12 +77,6 @@ __all__ = [
     "encrypt",
     "encrypt_pk",
     "LweCiphertext",
-    "LweKeySwitchKey",
-    "PlainLwe",
-    "decrypt_plain_lwe",
-    "generate_lwe_keyswitch_key",
-    "lwe_keyswitch",
-    "lwe_modswitch",
     "decrypt_lwe",
     "extract_lwe",
     "lwe_to_rlwe",

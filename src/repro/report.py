@@ -50,22 +50,32 @@ def _section_table2() -> List[str]:
 def _section_ntt() -> List[str]:
     from repro.hw.arch import NttUnitConfig, cham_default_config
     from repro.hw.perf import ChamPerfModel, CpuCostModel
+    from repro.hw.resources import TABLE3_NTT_VARIANTS, engine_resources
 
+    cfg = cham_default_config()
     cham = ChamPerfModel()
     cpu = CpuCostModel()
     unit = NttUnitConfig()
+    engine = engine_resources(cfg.engine)
     ks = cham.keyswitch_throughput()
-    return [
+    lines = [
         "## NTT and key-switch (Table III / §V-B1)",
         "",
         f"- NTT unit latency: {unit.cycles} cycles (paper: 6144)",
-        f"- total NTT units: {cham_default_config().total_ntt_units} (paper: 60)",
+        f"- total NTT units: {cfg.total_ntt_units} (paper: 60)",
+        f"- one compute engine: LUT {engine.lut:,}, DSP {engine.dsp}",
         f"- NTT offload throughput: {cham.ntt_offload_throughput():,.0f} ops/s "
         "(paper: 195 k)",
         f"- key-switch: {ks:,.0f} ops/s, "
         f"{ks / cpu.keyswitch_throughput():.0f}x CPU (paper: 65 k @ 105x)",
         "",
+        "| NTT module memory | LUT | BRAM | latency |",
+        "|---|---|---|---|",
     ]
+    for memory, (lut, bram) in TABLE3_NTT_VARIANTS.items():
+        lines.append(f"| {memory} | {lut:,} | {bram} | {unit.cycles} cycles |")
+    lines.append("")
+    return lines
 
 
 def _section_roofline() -> List[str]:
@@ -88,7 +98,7 @@ def _section_roofline() -> List[str]:
 def _section_dse() -> List[str]:
     from repro.hw.dse import enumerate_design_space, pareto_front
 
-    points = enumerate_design_space(bench_rows=1024)
+    points = enumerate_design_space()
     front = pareto_front(points)
     deployed = next(
         p

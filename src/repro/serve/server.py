@@ -38,7 +38,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
@@ -70,6 +70,14 @@ __all__ = [
 ]
 
 
+#: per-request deadline when ``submit`` is given none (generous: serving
+#: must not time out under nominal load)
+DEADLINE_MS = 60_000.0
+#: retry ``k`` backs off ``min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * 2**(k-1))``
+BACKOFF_BASE_MS = 1.0
+BACKOFF_CAP_MS = 20.0
+
+
 @dataclass
 class ServeConfig:
     """Serving-layer policy knobs (defaults model the paper's deployment)."""
@@ -83,19 +91,12 @@ class ServeConfig:
     #: admission bound; submissions beyond this are shed (never dropped
     #: silently: they resolve immediately as ``REJECTED``)
     queue_capacity: int = 256
-    #: default per-request deadline (generous: serving must not time out
-    #: under nominal load)
-    deadline_ms: float = 60_000.0
     #: accelerator attempts = max_retries + 1, then degrade to CPU
     max_retries: int = 2
-    backoff_base_ms: float = 1.0
-    backoff_cap_ms: float = 20.0
     #: device hang probability per job execution (FaultInjector.hang_prob)
     fault_rate: float = 0.0
     #: register-load bit-flip probability (FaultInjector.register_flip_prob)
     register_flip_rate: float = 0.0
-    #: resets one watchdog episode needs before a hung device recovers
-    resets_to_recover: int = 1
     seed: int = 0
 
 
@@ -330,7 +331,6 @@ class HmvpServer:
                 faults = FaultInjector(
                     hang_prob=self.config.fault_rate,
                     register_flip_prob=self.config.register_flip_rate,
-                    resets_to_recover=self.config.resets_to_recover,
                     seed=self.config.seed + engine_id,
                 )
             # max_job_retries=0: a hang surfaces as one FAILED attempt so
@@ -405,18 +405,18 @@ class HmvpServer:
 
         Shed-on-full: when the queue is at capacity the returned future
         is already resolved with ``REJECTED`` — backpressure is an
-        explicit outcome, not an exception and not a silent drop.
+        explicit outcome, not an exception and not a silent drop.  A
+        ciphertext the engines cannot take (see
+        :meth:`~repro.core.batch.BatchedHmvp.check_request`) raises
+        ``ValueError`` here, before it can reach a batch.
         """
-        if not ct.is_augmented:
-            raise ValueError("vector ciphertext must be augmented")
+        self.workers[0].engine.check_request(ct)
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[ServeOutcome]" = loop.create_future()
         request_id = self._next_request
         self._next_request += 1
         now = loop.time()
-        budget_ms = (
-            deadline_ms if deadline_ms is not None else self.config.deadline_ms
-        )
+        budget_ms = deadline_ms if deadline_ms is not None else DEADLINE_MS
         pending = _Pending(
             request_id=request_id,
             ct=ct,
@@ -469,6 +469,12 @@ class HmvpServer:
             obs.observe("serve.batch.size", len(batch))
             try:
                 await self._execute_batch(worker, batch)
+            except Exception as exc:
+                # a failed batch fails its own requests, loudly, and the
+                # worker keeps serving: nothing is left unresolved
+                for pending in batch:
+                    if not pending.future.done():
+                        pending.future.set_exception(exc)
             finally:
                 for _ in batch:
                     self._queue.task_done()
@@ -538,7 +544,6 @@ class HmvpServer:
         computed its ciphertext, so the exported trace connects the
         shared batch work to each per-request offload tree.
         """
-        cfg = self.config
         runtime = worker.runtime
         retries = 0
         with obs.span(
@@ -570,13 +575,12 @@ class HmvpServer:
                     # FAILED: fall through to the retry/degrade policy
                 except (DeviceHangError, RegisterLoadError):
                     pass
-                if retries >= cfg.max_retries:
+                if retries >= self.config.max_retries:
                     break
                 retries += 1
                 obs.inc("serve.retries")
                 backoff_ms = min(
-                    cfg.backoff_cap_ms,
-                    cfg.backoff_base_ms * (2 ** (retries - 1)),
+                    BACKOFF_CAP_MS, BACKOFF_BASE_MS * (2 ** (retries - 1))
                 )
                 await asyncio.sleep(backoff_ms / 1000.0)
             # accelerator budget exhausted: degrade to the CPU path (the

@@ -259,48 +259,3 @@ def test_scheduler_batch_completions_tag():
     assert report.batch_completions[7] == max(
         report.completions[0], report.completions[1]
     )
-
-
-# -- encrypted matrix-matrix products ------------------------------------------
-
-
-def test_encrypted_matmul_exact(scheme128, rng_module):
-    from repro.core.matmul import EncryptedMatmul
-
-    a = rng_module.integers(-20, 20, (5, 128))
-    b = rng_module.integers(-20, 20, (128, 3))
-    mm = EncryptedMatmul(scheme128, a)
-    got = mm(b)
-    want = a.astype(object) @ b.astype(object)
-    assert np.array_equal(got, want)
-    assert got.shape == (5, 3)
-
-
-def test_encrypted_matmul_dimension_check(scheme128, rng_module):
-    from repro.core.matmul import EncryptedMatmul
-
-    mm = EncryptedMatmul(scheme128, rng_module.integers(-5, 5, (4, 128)))
-    with pytest.raises(ValueError, match="inner dimensions"):
-        mm.encrypt_matrix(rng_module.integers(-5, 5, (64, 2)))
-    with pytest.raises(ValueError, match="2-D"):
-        mm.encrypt_matrix(rng_module.integers(-5, 5, 128))
-
-
-def test_encrypted_matmul_columns_decrypt_independently(scheme128, rng_module):
-    from repro.core.matmul import EncryptedMatmul
-
-    a = rng_module.integers(-10, 10, (6, 128))
-    b = rng_module.integers(-10, 10, (128, 2))
-    mm = EncryptedMatmul(scheme128, a)
-    results = mm.multiply(mm.encrypt_matrix(b))
-    col0 = results[0].decrypt(scheme128)
-    assert np.array_equal(col0, a.astype(object) @ b[:, 0].astype(object))
-
-
-def test_encrypted_matmul_op_count_scales(scheme128, rng_module):
-    from repro.core.matmul import EncryptedMatmul
-
-    mm = EncryptedMatmul(scheme128, rng_module.integers(-5, 5, (4, 128)))
-    one = mm.op_count(1)
-    four = mm.op_count(4)
-    assert four.dot_products == 4 * one.dot_products

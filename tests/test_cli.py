@@ -25,14 +25,6 @@ def test_demo(capsys):
     assert "slot budget" in out
 
 
-def test_tables(capsys):
-    assert main(["tables"]) == 0
-    out = capsys.readouterr().out
-    assert "Table II" in out
-    assert "195" in out  # NTT offload anchor
-    assert "roofline" in out
-
-
 def test_trace(capsys):
     assert main(["trace", "--rows", "8", "--width", "40"]) == 0
     out = capsys.readouterr().out

@@ -174,3 +174,29 @@ def test_degraded_cpu_path_preserves_bit_identity(scheme128):
     report = executor.report()
     assert report.degraded_shards == len(executor.plan.shards)
     assert report.dropped == 0
+
+
+def test_deadline_budget_degrades_without_an_attempt(scheme128):
+    """A per-call deadline below any attempt's simulated cost stops
+    failover before the first offload: every shard degrades to the CPU
+    path untried, and the result is still bit-identical."""
+    rng = np.random.default_rng(0xC109)
+    matrix = rng.integers(-100, 100, (8, 128))
+    vector = rng.integers(-100, 100, 128)
+    executor = ClusterExecutor(
+        scheme128,
+        matrix,
+        config=ClusterConfig(nodes=2, replication=2, seed=5),
+    )
+    ct = executor.encrypt_vector(vector)
+    got = executor.execute(ct, deadline_ms=1e-9)
+    _assert_bit_identical(got, _reference(scheme128, matrix, ct))
+    assert np.array_equal(
+        got.decrypt(scheme128), matrix.astype(object) @ vector.astype(object)
+    )
+    report = executor.report()
+    assert report.shard_retries == 0
+    assert set(report.per_node_busy_cycles.values()) == {0}
+    assert report.cpu_fallback_cycles > 0
+    assert report.degraded_shards == len(executor.plan.shards)
+    assert report.dropped == 0

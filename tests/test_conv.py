@@ -1,18 +1,11 @@
-"""Tests for 2-D/3-D convolution via coefficient encoding."""
+"""Tests for 2-D convolution via coefficient encoding."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.conv import (
-    Conv2dEncoder,
-    Conv3dEncoder,
-    conv2d_reference,
-    conv3d_reference,
-    homomorphic_conv2d,
-    homomorphic_conv3d,
-)
+from repro.core.conv import Conv2dEncoder, conv2d_reference, homomorphic_conv2d
 
 
 def test_conv2d_reference_known_value():
@@ -26,11 +19,6 @@ def test_conv2d_reference_known_value():
 def test_conv2d_reference_rejects_large_kernel():
     with pytest.raises(ValueError):
         conv2d_reference(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
-def test_conv3d_reference_channel_mismatch():
-    with pytest.raises(ValueError):
-        conv3d_reference(np.zeros((2, 4, 4)), np.zeros((3, 2, 2)))
 
 
 @pytest.mark.parametrize("h,w,kh,kw", [(8, 8, 3, 3), (6, 10, 2, 4), (16, 16, 1, 1), (5, 5, 5, 5)])
@@ -67,30 +55,6 @@ def test_conv2d_output_positions(scheme256):
     assert pos[5, 5] == 7 * 8 + 7
 
 
-@pytest.mark.parametrize("c,h,w,kh,kw", [(2, 8, 8, 3, 3), (3, 6, 6, 2, 2), (4, 4, 4, 3, 3)])
-def test_homomorphic_conv3d(scheme256, rng, c, h, w, kh, kw):
-    enc = Conv3dEncoder(scheme256, c, h, w, kh, kw)
-    tens = rng.integers(-8, 9, (c, h, w))
-    ker = rng.integers(-3, 4, (c, kh, kw))
-    ct = enc.encrypt_tensor(tens)
-    out = homomorphic_conv3d(enc, ct, ker)
-    got = enc.decode_output(scheme256.decrypt_plaintext(out))
-    assert np.array_equal(got, conv3d_reference(tens, ker))
-
-
-def test_conv3d_validation(scheme256):
-    with pytest.raises(ValueError, match="exceeds ring"):
-        Conv3dEncoder(scheme256, 8, 8, 8, 3, 3)
-
-
-def test_conv3d_shape_checks(scheme256, rng):
-    enc = Conv3dEncoder(scheme256, 2, 8, 8, 3, 3)
-    with pytest.raises(ValueError):
-        enc.encode_tensor(rng.integers(0, 3, (2, 4, 4)))
-    with pytest.raises(ValueError):
-        enc.encode_kernel(rng.integers(0, 3, (3, 3, 3)))
-
-
 def test_conv2d_identity_kernel(scheme256, rng):
     """A 1x1 unit kernel copies the image."""
     enc = Conv2dEncoder(scheme256, 10, 10, 1, 1)
@@ -114,34 +78,3 @@ def test_conv2d_property(scheme256, seed):
     out = homomorphic_conv2d(enc, enc.encrypt_image(img), ker)
     got = enc.decode_output(scheme256.decrypt_plaintext(out))
     assert np.array_equal(got, conv2d_reference(img, ker))
-
-
-def test_im2col_reference():
-    from repro.core.conv import im2col
-
-    img = np.arange(16).reshape(4, 4)
-    rows = im2col(img, 2, 2)
-    assert rows.shape == (9, 4)
-    assert list(rows[0]) == [0, 1, 4, 5]
-    assert list(rows[-1]) == [10, 11, 14, 15]
-    with pytest.raises(ValueError):
-        im2col(np.zeros((2, 2)), 3, 3)
-
-
-def test_conv_via_hmvp_matches_packed_conv(scheme256, rng):
-    """Two independent homomorphic strategies agree: the coefficient-
-    packed single multiplication and the im2col HMVP lowering."""
-    from repro.core.conv import conv2d_via_hmvp
-
-    # 6x6 image -> 16 outputs: fits the fixture's pack-key budget
-    img = rng.integers(-10, 11, (6, 6))
-    ker = rng.integers(-3, 4, (3, 3))
-    via_hmvp = conv2d_via_hmvp(scheme256, img, ker)
-    enc = Conv2dEncoder(scheme256, 6, 6, 3, 3)
-    packed = enc.decode_output(
-        scheme256.decrypt_plaintext(
-            homomorphic_conv2d(enc, enc.encrypt_image(img), ker)
-        )
-    )
-    assert np.array_equal(via_hmvp, packed)
-    assert np.array_equal(via_hmvp, conv2d_reference(img, ker))

@@ -125,8 +125,19 @@ def test_ledger_serializes_and_renders():
 
 def test_profile_batched_hmvp_attributes_wall_time():
     """Acceptance: the ledger attributes >= 95% of a warm batched run's
-    wall time to named kernels, joined against the sim cost model."""
-    run = profile_batched_hmvp(rows=4, n=64, batch=4, plain_bits=30)
+    wall time to named kernels, joined against the sim cost model.
+
+    One run of this shape lasts ~3 ms, where a 0.15 ms host stall
+    outside a kernel span costs five points, so the gate reads the run
+    with the median coverage of five."""
+    runs = sorted(
+        (
+            profile_batched_hmvp(rows=4, n=64, batch=4, plain_bits=30)
+            for _ in range(5)
+        ),
+        key=lambda run: run.ledger.coverage,
+    )
+    run = runs[2]
     ledger = run.ledger
     assert ledger.coverage >= 0.95, ledger.render_text()
     kernels = {r.kernel for r in ledger.rows}

@@ -1,5 +1,7 @@
 """Tests for the reproduction-report generator."""
 
+import pathlib
+
 import pytest
 
 from repro.report import generate_report
@@ -30,6 +32,8 @@ def test_report_headline_numbers(report_text):
     assert "195,312" in report_text
     assert "72.13%" in report_text  # BRAM row, Table II
     assert "paper: 2x .. 36x" in report_text
+    assert "| bram | 3,324 | 14 | 6144 cycles |" in report_text  # Table III
+    assert "97,120 rows/s" in report_text  # E5's deployed DSE point
 
 
 def test_report_numbers_match_models(report_text):
@@ -38,6 +42,15 @@ def test_report_numbers_match_models(report_text):
 
     thr = ChamPerfModel().ntt_offload_throughput()
     assert f"{thr:,.0f}" in report_text
+
+
+def test_committed_report_is_current(report_text):
+    """REPRODUCTION_REPORT.md is the one committed copy of the headline
+    numbers; regenerate it with ``python -m repro report -o
+    REPRODUCTION_REPORT.md`` whenever a model it reads moves."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    committed = (root / "REPRODUCTION_REPORT.md").read_text(encoding="utf-8")
+    assert committed == report_text
 
 
 def test_report_writes_file(tmp_path):

@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.he.rlwe import RlweCiphertext
 from repro.hw.runtime import FaultInjector
+from repro.math.primes import find_ntt_prime
+from repro.math.rns import RnsBasis
 from repro.serve import (
     HmvpServer,
     RequestStatus,
@@ -103,7 +106,6 @@ def test_scripted_faults_all_retried_to_success(scheme128, matrix8, vectors8, ct
         max_batch=4,
         queue_capacity=64,
         max_retries=2,
-        backoff_base_ms=0.1,
         seed=3,
     )
     injectors = [FaultInjector(hang_script=[True, False] * len(cts8))]
@@ -135,7 +137,6 @@ def test_exhausted_retries_degrade_to_cpu(scheme128, matrix8, vectors8, cts8):
         queue_capacity=64,
         fault_rate=1.0,
         max_retries=1,
-        backoff_base_ms=0.1,
         seed=4,
     )
     rep = serve_requests(scheme128, matrix8, cts8, config)
@@ -261,6 +262,58 @@ def test_submit_requires_augmented_ciphertext(scheme128, matrix8):
         await server.close()
 
     asyncio.run(_run())
+
+
+def test_foreign_and_failed_requests_never_strand_the_server(
+    scheme128, scheme256, matrix8, vectors8, cts8, monkeypatch
+):
+    """Regression: a ring-256 ciphertext passed an augmented-only check
+    at ``submit``, then broke ``multiply_batch`` in the pool and killed
+    the worker loop, so the valid request sharing its batch and every
+    later one never resolved.  Foreign ciphertexts now fail at
+    ``submit``; a batch that raises fails its own requests and the
+    worker keeps serving."""
+    config = ServeConfig(
+        engines=1, max_batch=2, max_wait_ms=50.0, queue_capacity=8, seed=12
+    )
+    ct = cts8[0]
+    moduli = tuple(find_ntt_prime(30, 128, skip=k) for k in range(3))
+    other_basis = RlweCiphertext(ct.ctx, RnsBasis(moduli, 128), ct.c0, ct.c1)
+
+    async def _run():
+        server = HmvpServer(scheme128, matrix8, config)
+        await server.start()
+        ring256 = scheme256.encrypt_vector(np.ones(256, dtype=np.int64))
+        with pytest.raises(ValueError, match="ring degree"):
+            await server.submit(ring256)
+        with pytest.raises(ValueError, match="modulus basis"):
+            await server.submit(other_basis)
+
+        engine = server.workers[0].engine
+        multiply_batch = engine.multiply_batch
+        calls = []
+
+        def fail_once(cts, workers=None):
+            calls.append(len(cts))
+            if len(calls) == 1:
+                raise RuntimeError("injected batch failure")
+            return multiply_batch(cts, workers)
+
+        monkeypatch.setattr(engine, "multiply_batch", fail_once)
+        doomed = [await server.submit(c) for c in cts8[:2]]
+        for future in doomed:
+            with pytest.raises(RuntimeError, match="injected"):
+                await future
+        later = await (await server.submit(cts8[2]))
+        await server.close()
+        return calls, later
+
+    calls, later = asyncio.run(asyncio.wait_for(_run(), timeout=120))
+    assert calls == [2, 1]  # both doomed requests shared the failed batch
+    assert later.status is RequestStatus.OK
+    assert np.array_equal(
+        later.result.decrypt(scheme128), _expected(matrix8, vectors8[2])
+    )
 
 
 def test_empty_run_report():
