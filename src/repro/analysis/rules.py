@@ -438,15 +438,15 @@ class BlockingCallInAsync(Rule):
 
     ``HmvpServer`` overlaps engine workers on one loop; a single
     ``time.sleep`` or sync file read stalls every in-flight request.
-    Blocking work belongs in ``loop.run_in_executor`` and device polling
-    in ``FpgaRuntime.poll_async``.
+    Blocking work, device polling included, belongs in
+    ``loop.run_in_executor``.
     """
 
     id = "REPRO104"
     name = "blocking-call-in-async"
     rationale = (
         "one blocking call inside async def stalls every request on the "
-        "event loop; use asyncio.sleep / run_in_executor / poll_async"
+        "event loop; use asyncio.sleep or run it in an executor"
     )
 
     _BLOCKING_QUALNAMES = {
@@ -460,7 +460,7 @@ class BlockingCallInAsync(Rule):
         "write_text": "file I/O blocks the loop; use run_in_executor",
         "read_bytes": "file I/O blocks the loop; use run_in_executor",
         "write_bytes": "file I/O blocks the loop; use run_in_executor",
-        "poll": "sync poll loop; use FpgaRuntime.poll_async",
+        "poll": "sync poll loop; run it in an executor",
     }
 
     def applies_to(self, rel_path: str) -> bool:

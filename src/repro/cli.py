@@ -18,14 +18,14 @@ Gives a downstream user the zero-code tour:
 ``metrics``
     run a small instrumented workload and print the metrics-registry
     snapshot (counters / gauges / histograms);
-``batch``
-    serve a batch of encrypted vectors against one matrix through the
-    matrix-resident batched engine (encoded-matrix cache, hoisted NTTs,
-    one pack per request) and print cache / queue / scheduler metrics;
 ``serve``
     load-generate against the async fault-tolerant serving front-end
-    (multi-engine dispatch, deadlines, retry + backoff, CPU degrade)
-    and print per-status counts, latency percentiles and goodput;
+    (multi-engine dispatch, deadlines, retry, CPU degrade) and print
+    per-status counts, latency percentiles and goodput;
+``cluster``
+    run sharded HMVP across simulated nodes (failover, elastic
+    membership, and with ``--topology`` a contended interconnect whose
+    per-phase and per-link traffic it prints);
 ``lint``
     run the HE-aware static-analysis rules (``repro.analysis``) over
     ``src/repro`` or the given paths; ``--ci`` additionally runs ruff
@@ -217,7 +217,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     MacroPipeline(EngineConfig()).simulate_hmvp(1024)
     runtime = FpgaRuntime()
-    runtime.poll(runtime.submit(rows))
+    runtime.poll_once(runtime.submit(rows))
     runtime.health()
 
     snap = reg.snapshot()
@@ -235,64 +235,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             f"min={h['min']:,.1f} max={h['max']:,.1f}"
         )
     return 0
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    """Batched serving demo: one resident matrix, many encrypted vectors.
-
-    The engine is constructed twice with the same matrix so the run
-    always exercises both sides of the encoded-matrix cache (one miss,
-    one hit) — what the CI smoke job asserts on.
-    """
-    from repro import obs
-    from repro.core.batch import BatchedHmvp, BatchQueue, EncodedMatrixCache
-    from repro.he.bfv import BfvScheme
-    from repro.he.params import toy_params
-
-    reg = obs.enable_metrics()
-    params = toy_params(n=128, plain_bits=40)
-    scheme = BfvScheme(params, seed=args.seed, max_pack=args.rows)
-    rng = np.random.default_rng(args.seed)
-    matrix = rng.integers(-40, 40, (args.rows, params.n))
-    cache = EncodedMatrixCache()
-    BatchedHmvp(scheme, matrix, cache=cache)  # cold: encodes, cache miss
-    engine = BatchedHmvp(
-        scheme, matrix, cache=cache, workers=args.workers
-    )  # warm: cache hit
-    queue = BatchQueue(engine, workers=args.workers)
-    vectors = [rng.integers(-40, 40, params.n) for _ in range(args.batch)]
-    for v in vectors:
-        queue.submit(scheme.encrypt_vector(v))
-    report = queue.drain()
-    ok = all(
-        np.array_equal(
-            res.decrypt(scheme), matrix.astype(object) @ v.astype(object)
-        )
-        for res, v in zip(report.results, vectors)
-    )
-
-    snap = reg.snapshot()
-    if args.json:
-        print(json.dumps({
-            "correct": ok,
-            "rows": args.rows,
-            "batch": args.batch,
-            "makespan_cycles": report.schedule.makespan,
-            "utilization": report.schedule.utilization,
-            "counters": snap["counters"],
-            "gauges": snap["gauges"],
-        }, indent=2))
-        return 0 if ok else 1
-    print(f"batch  : {args.batch} vectors x ({args.rows}x{params.n}) "
-          f"matrix, correct={ok}")
-    print(f"cache  : {cache.hits} hit(s), {cache.misses} miss(es)")
-    print(f"queue  : drained {len(report.request_ids)} requests, "
-          f"makespan {report.schedule.makespan:,} cycles, "
-          f"utilization {100 * report.schedule.utilization:.1f}%")
-    for name in sorted(snap["counters"]):
-        if name.startswith(("batch.", "he.pack.")):
-            print(f"  counter {name:28s} {snap['counters'][name]:,}")
-    return 0 if ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -374,8 +316,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for i, h in enumerate(report.engine_health):
         print(
             f"engine{i}: jobs={h.jobs_completed} failed_attempts="
-            f"{h.jobs_failed} retries={h.job_retries} hangs="
-            f"{h.hangs_detected} resets={h.resets}"
+            f"{h.jobs_failed} hangs={h.hangs_detected} resets={h.resets}"
         )
     return 0 if ok else 1
 
@@ -493,6 +434,21 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             f"max queue {n['max_queue_depth']}, "
             f"dropped {n['flits_dropped']})"
         )
+        for phase, row in n["phases"].items():
+            print(
+                f"phase  : {phase:12s} {row['cycles']:>9,} cycles "
+                f"{row['flits']:>8,} flits {row['messages']:>5,} msgs "
+                f"{row['nbytes']:>11,} bytes"
+            )
+        busiest = sorted(
+            n["links"].items(), key=lambda kv: -kv[1]["busy_cycles"]
+        )[:5]
+        for name, row in busiest:
+            print(
+                f"link   : {name:14s} util {row['utilization']:.3f} "
+                f"flits {row['flits']:>8,} blocked {row['blocked']:>7,} "
+                f"depth {row['max_depth']}"
+            )
     for node in sorted(executor.nodes.values(), key=lambda n: n.node_id):
         h = node.health()
         print(
@@ -500,107 +456,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             f"failed_attempts={h.jobs_failed} hangs={h.hangs_detected} "
             f"resets={h.resets}"
         )
-    return 0 if ok else 1
-
-
-def _cmd_netsim(args: argparse.Namespace) -> int:
-    """Interconnect demo: charge real cluster traffic through a fabric.
-
-    Runs the sharded HMVP workload with the discrete-event network
-    simulator attached, then reports the network-vs-compute cycle
-    split, per-phase flit counts, and per-link utilization.  The CI
-    smoke step asserts contention was observed (``blocked_attempts``
-    > 0 on a bandwidth-limited fabric), that no flit was lost or
-    duplicated, and that no request dropped.
-    """
-    from repro import obs
-    from repro.cluster import ClusterConfig, ClusterExecutor
-    from repro.he.bfv import BfvScheme
-    from repro.he.params import toy_params
-
-    reg = obs.enable_metrics()
-    params = toy_params(n=128, plain_bits=40)
-    scheme = BfvScheme(params, seed=args.seed, max_pack=params.n)
-    rng = np.random.default_rng(args.seed)
-    cols = args.cols if args.cols is not None else 2 * params.n
-    matrix = rng.integers(-40, 40, (args.rows, cols))
-    config = ClusterConfig(
-        nodes=args.nodes,
-        replication=args.replication,
-        seed=args.seed,
-        topology=args.topology,
-        link_bandwidth=args.bandwidth,
-        link_latency=args.latency,
-        flit_bytes=args.flit_bytes,
-    )
-    executor = ClusterExecutor(scheme, matrix, config=config)
-    vectors = [
-        rng.integers(-40, 40, cols) for _ in range(args.requests)
-    ]
-    requests = [executor.encrypt_vector(v) for v in vectors]
-    results = executor.execute_batch(requests)
-    got = results[-1].decrypt(scheme)[: args.rows]
-    want = matrix.astype(object) @ vectors[-1].astype(object)
-    correct = bool(np.array_equal(got, want))
-    report = executor.report()
-    net = report.network
-    ok = (
-        correct
-        and report.dropped == 0
-        and net["flits_dropped"] == 0
-        and net["duplicates"] == 0
-    )
-    if args.json:
-        payload = report.to_dict()
-        payload["correct"] = correct
-        snap = reg.snapshot()
-        payload["counters"] = {
-            k: v for k, v in snap["counters"].items()
-            if k.startswith("cluster.")
-        }
-        print(json.dumps(payload, indent=2))
-        return 0 if ok else 1
-    total = report.makespan_cycles or 1
-    print(
-        f"netsim : {args.requests} requests x ({args.rows}x{cols}) matrix "
-        f"over {args.nodes} node(s) on a '{net['topology']}' fabric "
-        f"({args.bandwidth} B/cycle links, latency {args.latency}, "
-        f"{net['flit_bytes']}-byte flits)"
-    )
-    print(
-        f"cycles : compute {report.compute_makespan_cycles:,} + network "
-        f"{report.network_cycles:,} = {report.makespan_cycles:,} makespan "
-        f"({100 * report.network_cycles / total:.1f}% network)"
-    )
-    print(
-        f"traffic: {net['messages']:,} messages, "
-        f"{net['flits_injected']:,} flits injected, "
-        f"{net['flits_delivered']:,} delivered, "
-        f"{net['flits_dropped']} dropped, {net['duplicates']} duplicated"
-    )
-    print(
-        f"fabric : {net['blocked_attempts']:,} blocked head-flit attempts, "
-        f"max link queue {net['max_queue_depth']}/"
-        f"{net['buffer_flits']}, max DMA queue {net['max_inject_depth']}, "
-        f"{net['events']:,} events"
-    )
-    for phase, row in net["phases"].items():
-        print(
-            f"phase  : {phase:12s} {row['cycles']:>9,} cycles "
-            f"{row['flits']:>8,} flits {row['messages']:>5,} msgs "
-            f"{row['nbytes']:>11,} bytes"
-        )
-    busiest = sorted(
-        net["links"].items(),
-        key=lambda kv: -kv[1]["busy_cycles"],
-    )[:5]
-    for name, row in busiest:
-        print(
-            f"link   : {name:14s} util {row['utilization']:.3f} "
-            f"flits {row['flits']:>8,} blocked {row['blocked']:>7,} "
-            f"depth {row['max_depth']}"
-        )
-    print(f"trace  : sha256 {net['trace_sha256'][:16]}… ok={ok}")
     return 0 if ok else 1
 
 
@@ -823,19 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dump the snapshot as JSON")
     metrics.set_defaults(func=_cmd_metrics)
 
-    batch = sub.add_parser(
-        "batch", help="batched HMVP serving demo (matrix-resident engine)"
-    )
-    batch.add_argument("--rows", type=int, default=8)
-    batch.add_argument("--batch", type=int, default=8)
-    batch.add_argument("--workers", type=int, default=None,
-                       help="worker-pool width (default: the CPUs this "
-                            "process may run on)")
-    batch.add_argument("--seed", type=int, default=0)
-    batch.add_argument("--json", action="store_true",
-                       help="dump results + metrics snapshot as JSON")
-    batch.set_defaults(func=_cmd_batch)
-
     serve = sub.add_parser(
         "serve", help="async fault-tolerant serving load generator"
     )
@@ -893,31 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--json", action="store_true",
                          help="dump the cluster report + counters as JSON")
     cluster.set_defaults(func=_cmd_cluster)
-
-    netsim = sub.add_parser(
-        "netsim",
-        help="interconnect simulation of the cluster data path",
-    )
-    netsim.add_argument("--topology", type=str, default="mesh",
-                        choices=["ideal", "ring", "mesh", "fat-tree"],
-                        help="fabric to charge ciphertext movement through")
-    netsim.add_argument("--requests", type=int, default=4)
-    netsim.add_argument("--nodes", type=int, default=4)
-    netsim.add_argument("--replication", type=int, default=2)
-    netsim.add_argument("--rows", type=int, default=96)
-    netsim.add_argument("--cols", type=int, default=None,
-                        help="matrix columns (default: 2 ring tiles)")
-    netsim.add_argument("--bandwidth", type=int, default=16,
-                        help="link bandwidth in bytes/cycle")
-    netsim.add_argument("--latency", type=int, default=4,
-                        help="per-hop pipeline latency in cycles")
-    netsim.add_argument("--flit-bytes", type=int, default=64,
-                        dest="flit_bytes", help="wire flit size")
-    netsim.add_argument("--seed", type=int, default=0)
-    netsim.add_argument("--json", action="store_true",
-                        help="dump the cluster report (with the network "
-                             "block) + counters as JSON")
-    netsim.set_defaults(func=_cmd_netsim)
 
     lint = sub.add_parser(
         "lint", help="HE-aware static analysis (repro.analysis)"

@@ -75,7 +75,6 @@ class Autoscaler:
         return max(
             float(gauges.get("cluster.queue.depth", 0.0)),
             float(gauges.get("serve.queue.depth", 0.0)),
-            float(gauges.get("batch.queue.depth", 0.0)),
         )
 
     def observe(

@@ -6,15 +6,16 @@
 
 * **scatter** — hoist each request's vector ciphertext tiles once (the
   forward NTTs depend only on the ciphertext), then walk the shard grid:
-  each shard's offload is simulated on its primary node's RAS runtime
-  (register-descriptor load, job submit, one poll attempt);
-* **failover** — a :class:`~repro.hw.runtime.DeviceHangError` /
-  ``FAILED`` attempt reroutes the shard to the next replica
-  (``cluster.shard_retries`` / ``cluster.rebalance_events``), bounded by
-  the request deadline in *simulated* time; when every replica pass is
-  exhausted (or the deadline budget is), the shard **degrades** to the
-  CPU path — the functional result is identical, only the pricing
-  changes — so no request is ever dropped;
+  each shard's offload goes through :func:`~repro.hw.runtime.offload`,
+  the policy the serving layer shares, with the shard's replicas as
+  candidates, primary first;
+* **failover** — a failed attempt (device hang or register-load error)
+  reroutes the shard to the next replica (``cluster.shard_retries`` /
+  ``cluster.rebalance_events``), bounded by the request deadline in
+  *simulated* time; when every replica pass is exhausted (or the
+  deadline budget is), the shard **degrades** to the CPU path — the
+  functional result is identical, only the pricing changes — so no
+  request is ever dropped;
 * **gather** — column-shard partials merge with exact modular addition
   (the LWE-level additive merge; valid because every shard rescaled the
   same ciphertext-tile boundaries the unsharded path does), row bands
@@ -41,8 +42,7 @@ from ..he.bfv import BfvScheme
 from ..he.packing import pack_stacked_lwes
 from ..he.rlwe import RlweCiphertext
 from ..hw.arch import ChamConfig, cham_default_config
-from ..hw.perf import CpuCostModel
-from ..hw.runtime import DeviceHangError, FaultInjector, JobState, RegisterLoadError
+from ..hw.runtime import FaultInjector, offload
 from ..hw.topology import COORDINATOR
 from ..math.modular import modadd_vec
 from .autoscaler import Autoscaler
@@ -64,8 +64,6 @@ __all__ = [
     "ClusterExecutor",
 ]
 
-#: shard-descriptor register file base (disjoint from the serve layer's)
-_REGISTER_BASE = 0x2000
 #: per-request failover budget in *simulated* milliseconds when
 #: ``execute`` is given none
 DEADLINE_MS = 60_000.0
@@ -264,6 +262,8 @@ class ClusterExecutor:
     ) -> None:
         self.scheme = scheme
         self.config = config or ClusterConfig()
+        if self.config.max_retries < 0:
+            raise ValueError("max_retries must be at least 0")
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
@@ -340,7 +340,6 @@ class ClusterExecutor:
         }
         #: per-request hoisted-tile bytes by shard (set at scatter time)
         self._current_scatter_bytes: Dict[int, int] = {}
-        self._cpu_model = CpuCostModel()
         self._single_node_cycles_per_request = sum(costs)
         #: shard_id -> cycle cost (the membership layer balances by these)
         self.shard_costs: Dict[int, int] = self.planner.cost_by_shard(plan)
@@ -393,116 +392,61 @@ class ClusterExecutor:
 
     # -- offload simulation ------------------------------------------------
 
-    def _attempt_offload(self, node: ClusterNode, shard: Shard) -> int:
-        """One offload attempt; returns device cycles or raises."""
-        runtime = node.runtime
-        runtime.load_register_checked(
-            _REGISTER_BASE + (shard.shard_id % 256),
-            (shard.rows << 16) | (shard.shard_id & 0xFFFF),
+    def _transfer_cycles(self, shard: Shard, node_id: int) -> int:
+        """Idle-fabric cycles to move a shard's tiles in and partial out."""
+        if self.interconnect is None:
+            return 0
+        return self.interconnect.estimate_transfer_cycles(
+            COORDINATOR,
+            node_id,
+            self._current_scatter_bytes.get(shard.shard_id, 0),
+        ) + self.interconnect.estimate_transfer_cycles(
+            node_id, COORDINATOR, self._shard_gather_bytes[shard.shard_id]
         )
-        job_id = runtime.submit(
-            rows=shard.rows,
-            col_tiles=shard.col_tiles(self.plan.ring_n),
-        )
-        state = runtime.poll_once(job_id)
-        if state is not JobState.DONE:
-            raise DeviceHangError(
-                f"shard {shard.shard_id} attempt failed on node "
-                f"{node.node_id}"
-            )
-        return runtime.jobs[job_id].cycles
 
-    def _serve_shard(
-        self, shard: Shard, deadline_budget_ms: float
-    ) -> ShardOutcome:
-        """Offload with replica failover, then CPU degrade; never drops."""
+    def _offload_shard(self, shard: Shard, deadline_ms: float) -> ShardOutcome:
+        """Offload across the shard's replicas, then CPU degrade."""
         hosted = self.placement.nodes_for(shard.shard_id)
-        primary = hosted[0]
-        col_tiles = shard.col_tiles(self.plan.ring_n)
-        clock = self.cham.clock_hz
-        spent_ms = 0.0
-        attempts = 0
-        # the first attempt's span id: every reroute/degrade span links
-        # back to it, so the exported trace connects the failover chain
-        first_attempt_sid = ""
-        for _pass in range(self.config.max_retries + 1):
-            for node_id in hosted:
-                node = self.nodes[node_id]
-                est_cycles = node.runtime.estimate_cycles(
-                    shard.rows, col_tiles
-                )
-                if self.interconnect is not None:
-                    # an attempt on this node also has to move the
-                    # ciphertext tiles in and the LWE partial back out
-                    est_cycles += self.interconnect.estimate_transfer_cycles(
-                        COORDINATOR,
-                        node_id,
-                        self._current_scatter_bytes.get(shard.shard_id, 0),
-                    ) + self.interconnect.estimate_transfer_cycles(
-                        node_id,
-                        COORDINATOR,
-                        self._shard_gather_bytes[shard.shard_id],
-                    )
-                est_ms = 1e3 * est_cycles / clock
-                if spent_ms + est_ms > deadline_budget_ms:
-                    # the next attempt cannot finish inside the request
-                    # deadline on the simulated clock: stop failing over
-                    break
-                attempts += 1
-                with obs.span(
-                    "cluster.shard.attempt",
-                    pid=node_id + 1,
-                    links=(first_attempt_sid,) if first_attempt_sid else None,
-                    shard=shard.shard_id,
-                    node=node_id,
-                    attempt=attempts,
-                ) as attempt_span:
-                    if not first_attempt_sid:
-                        first_attempt_sid = attempt_span.span_id
-                    try:
-                        cycles = self._attempt_offload(node, shard)
-                    except (DeviceHangError, RegisterLoadError):
-                        attempt_span.set(outcome="hang")
-                        spent_ms += est_ms
-                        self.shard_retries += 1
-                        obs.inc("cluster.shard_retries")
-                        continue
-                    node.shards_served += 1
-                    rerouted = node_id != primary
-                    if rerouted:
-                        self.rebalance_events += 1
-                        obs.inc("cluster.rebalance_events")
-                    attempt_span.set(outcome="ok", rerouted=rerouted)
-                    return ShardOutcome(
-                        shard_id=shard.shard_id,
-                        node_id=node_id,
-                        attempts=attempts,
-                        rerouted=rerouted,
-                        cycles=cycles,
-                    )
-            else:
-                continue
-            break  # deadline budget exhausted
-        with obs.span(
-            "cluster.shard.degrade",
-            links=(first_attempt_sid,) if first_attempt_sid else None,
-            shard=shard.shard_id,
-            attempts=attempts,
-        ):
-            cpu_s = self._cpu_model.hmvp_s(
-                shard.rows, shard.cols, ring_n=self.plan.ring_n
+        offloaded = offload(
+            [
+                (self.nodes[nid].runtime, self._transfer_cycles(shard, nid))
+                for nid in hosted
+            ],
+            rows=shard.rows,
+            cols=shard.cols,
+            ring_n=self.plan.ring_n,
+            tag=shard.shard_id,
+            max_retries=self.config.max_retries,
+            deadline_ms=deadline_ms,
+            clock_hz=self.cham.clock_hz,
+        )
+        if offloaded.failed_attempts:
+            self.shard_retries += offloaded.failed_attempts
+            obs.inc("cluster.shard_retries", offloaded.failed_attempts)
+        if offloaded.degraded:
+            self.degraded_shards += 1
+            self.cpu_fallback_cycles += offloaded.cycles
+            obs.inc("cluster.degraded")
+            return ShardOutcome(
+                shard_id=shard.shard_id,
+                node_id=None,
+                attempts=offloaded.attempts,
+                rerouted=True,
+                degraded=True,
+                cycles=offloaded.cycles,
             )
-            cycles = int(cpu_s * clock)
-        self.degraded_shards += 1
-        self.cpu_fallback_cycles += cycles
-        obs.inc("cluster.degraded")
+        node_id = hosted[offloaded.served_by]
+        self.nodes[node_id].shards_served += 1
+        rerouted = offloaded.served_by > 0
+        if rerouted:
+            self.rebalance_events += 1
+            obs.inc("cluster.rebalance_events")
         return ShardOutcome(
             shard_id=shard.shard_id,
-            node_id=None,
-            attempts=attempts,
-            rerouted=True,
-            degraded=True,
-            cycles=cycles,
+            node_id=node_id,
+            attempts=offloaded.attempts,
+            rerouted=rerouted,
+            cycles=offloaded.cycles,
         )
 
     # -- network charging --------------------------------------------------
@@ -726,7 +670,7 @@ class ClusterExecutor:
             partials: Dict[int, "Tuple[np.ndarray, np.ndarray]"] = {}
             outcomes: List[ShardOutcome] = []
             for shard in self.plan.shards:
-                outcome = self._serve_shard(shard, budget_ms)
+                outcome = self._offload_shard(shard, budget_ms)
                 outcomes.append(outcome)
                 self.shard_executions += 1
                 obs.inc("cluster.shard_executions")

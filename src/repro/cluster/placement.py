@@ -226,9 +226,7 @@ def make_cluster_node(
     """One bare node (runtime + empty cache, no engines).
 
     The fault injector derives from the rate knobs with a per-node seed
-    unless given explicitly; ``max_job_retries=0`` so a hang surfaces as
-    one FAILED attempt and failover up in the executor is the only retry
-    path.  The elastic join path uses this directly — engines are staged
+    unless given explicitly.  The elastic join path uses this directly — engines are staged
     afterwards by *migrating* encoded entries, never by re-encoding.
     """
     cfg = cham or cham_default_config()
@@ -239,9 +237,7 @@ def make_cluster_node(
             seed=seed + node_id,
         )
     # lane = node_id + 1: pid 0 stays the coordinator's lane in traces
-    runtime = FpgaRuntime(
-        cfg=cfg, faults=faults, max_job_retries=0, lane=node_id + 1
-    )
+    runtime = FpgaRuntime(cfg=cfg, faults=faults, lane=node_id + 1)
     return ClusterNode(
         node_id=node_id,
         runtime=runtime,

@@ -21,10 +21,7 @@ that pipeline, for resident and one-shot matrices alike:
   through one vectorized dot/rescale/extract pass, aggregates partial
   LWEs across column tiles, and packs each row tile through the one
   PACKLWES tree; a batch runs in stacked request groups whose work
-  items fan out across a ``concurrent.futures`` worker pool;
-* :class:`BatchQueue` — ``submit``/``drain`` request queue that maps a
-  drained batch onto :class:`repro.hw.runtime.JobScheduler` engines so
-  the simulator prices the batched schedule.
+  items fan out across a ``concurrent.futures`` worker pool.
 
 Functionally everything is exact: per RNS limb, bit-identical to the
 scalar per-row oracle in ``tests/oracles.py`` (``encode_row`` →
@@ -41,7 +38,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +47,6 @@ from ..he.bfv import BfvScheme
 from ..he.packing import STACK_COEFFS, PackedResult, _pack_tree
 from ..he.params import CheParams
 from ..he.rlwe import RlweCiphertext
-from ..hw.runtime import Job, JobScheduler, QueueReport
 from ..math.modular import modadd_vec, modmul_vec, modneg_vec
 from ..math.ntt import freeze_array
 from ..math.rns import RnsBasis
@@ -65,8 +61,6 @@ __all__ = [
     "encrypt_tiles",
     "host_cpus",
     "BatchedHmvp",
-    "BatchDrainReport",
-    "BatchQueue",
 ]
 
 
@@ -419,8 +413,8 @@ class BatchedHmvp:
         """Raise ``ValueError`` unless ``ct`` is an augmented vector
         ciphertext over this engine's ring degree and modulus basis.
 
-        Every path that admits a request runs this check (the hoist,
-        :class:`BatchQueue` and the serving layer's ``submit``), so a
+        Every path that admits a request runs this check (the hoist and
+        the serving layer's ``submit``), so a
         foreign ciphertext fails on its own instead of inside a batch
         it shares with valid requests.
         """
@@ -682,34 +676,6 @@ class BatchedHmvp:
                 )
         return results
 
-    def make_jobs(
-        self,
-        request_ids: Sequence[int],
-        batch_id: Optional[int] = None,
-        ctxs: Optional[Sequence[Optional[obs.TraceContext]]] = None,
-    ) -> List[Job]:
-        """Simulator jobs for a batch: one per ``(request, row tile)``.
-
-        :class:`BatchQueue` prices each drained batch with these jobs on
-        its :class:`~repro.hw.runtime.JobScheduler`.  ``ctxs`` (parallel
-        to ``request_ids``) tags each request's jobs with its trace
-        context so runtime attempt spans join the trace.
-        """
-        jobs = []
-        for idx, rid in enumerate(request_ids):
-            ctx = ctxs[idx] if ctxs is not None else None
-            for rt in range(self.encoded.row_tiles):
-                jobs.append(
-                    Job(
-                        job_id=rid * self.encoded.row_tiles + rt,
-                        rows=self.encoded.row_tile_rows(rt),
-                        col_tiles=self.encoded.col_tiles,
-                        batch_id=batch_id,
-                        ctx=ctx,
-                    )
-                )
-        return jobs
-
     def amortized_op_count(self, batch: int) -> HmvpOpCount:
         """Total ops for a batch, including the one-time encode."""
         total = HmvpOpCount()
@@ -719,110 +685,3 @@ class BatchedHmvp:
         for _ in range(batch):
             total = total + per_vec
         return total
-
-
-@dataclass
-class BatchDrainReport:
-    """Results of one queue drain plus the simulator's pricing of it."""
-
-    request_ids: List[int]
-    results: List[HmvpResult]
-    schedule: QueueReport
-
-
-class BatchQueue:
-    """Request queue in front of a :class:`BatchedHmvp` engine.
-
-    ``submit`` enqueues encrypted vectors; ``drain`` runs the whole
-    pending batch through the engine (worker pool included) and maps it
-    onto the hardware simulator's :class:`JobScheduler` — one
-    :class:`Job` per (request, row tile), tagged with a batch id — so
-    every drain yields both the exact ciphertext results and the priced
-    schedule (makespan, per-engine utilization).
-    """
-
-    def __init__(
-        self,
-        engine: BatchedHmvp,
-        scheduler: Optional[JobScheduler] = None,
-        workers: Optional[int] = None,
-        on_drain: Optional[Callable[["BatchDrainReport"], None]] = None,
-    ) -> None:
-        self.engine = engine
-        self.scheduler = scheduler or JobScheduler()
-        self.workers = workers
-        #: called with each non-empty drain's report (metrics export,
-        #: serving-layer completion hooks)
-        self.on_drain = on_drain
-        self._pending: List[
-            Tuple[int, RlweCiphertext, Optional[obs.TraceContext]]
-        ] = []
-        self._next_request = 0
-        self._next_batch = 0
-
-    @property
-    def depth(self) -> int:
-        return len(self._pending)
-
-    def submit(
-        self, ct_v: RlweCiphertext, ctx: Optional[obs.TraceContext] = None
-    ) -> int:
-        """Enqueue one encrypted vector; returns its request id.
-
-        Each request gets a trace context — the one passed in (a serving
-        layer that already minted a trace root), the ambient one, or a
-        fresh root — so its simulator jobs are attributable end to end.
-        """
-        self.engine.check_request(ct_v)
-        if ctx is None and obs.TRACER.enabled:
-            ctx = obs.current_context() or obs.TRACER.new_trace()
-        request_id = self._next_request
-        self._next_request += 1
-        self._pending.append((request_id, ct_v, ctx))
-        obs.inc("batch.queue.submitted")
-        obs.set_gauge("batch.queue.depth", len(self._pending))
-        return request_id
-
-    def drain(self, max_requests: Optional[int] = None) -> BatchDrainReport:
-        """Serve pending requests as one batch.
-
-        ``max_requests`` caps the drained batch (FIFO prefix) — the
-        micro-batching building block the serving layer's adaptive
-        ``max_batch`` policy rides on; ``None`` drains everything.
-        """
-        if max_requests is not None and max_requests < len(self._pending):
-            pending = self._pending[:max_requests]
-            self._pending = self._pending[max_requests:]
-        else:
-            pending, self._pending = self._pending, []
-        obs.set_gauge("batch.queue.depth", len(self._pending))
-        batch_id = self._next_batch
-        self._next_batch += 1
-        if not pending:
-            return BatchDrainReport(
-                request_ids=[],
-                results=[],
-                schedule=QueueReport(
-                    completions={}, makespan=0, per_engine_busy=[]
-                ),
-            )
-        with obs.span("batch.drain", requests=len(pending), batch=batch_id):
-            results = self.engine.multiply_batch(
-                [ct for _rid, ct, _ctx in pending], workers=self.workers
-            )
-            jobs = self.engine.make_jobs(
-                [rid for rid, _ct, _ctx in pending],
-                batch_id=batch_id,
-                ctxs=[ctx for _rid, _ct, ctx in pending],
-            )
-            schedule = self.scheduler.schedule(jobs)
-        obs.observe("batch.drain.requests", len(pending))
-        obs.observe("batch.drain.makespan_cycles", schedule.makespan)
-        report = BatchDrainReport(
-            request_ids=[rid for rid, _ct, _ctx in pending],
-            results=results,
-            schedule=schedule,
-        )
-        if self.on_drain is not None:
-            self.on_drain(report)
-        return report

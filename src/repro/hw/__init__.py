@@ -68,15 +68,15 @@ from .compare import Accelerator, KNOWN_ACCELERATORS, cham_entry, comparison_row
 from .isa import Command, CommandStream, Opcode, StreamExecutor, compile_hmvp
 from .runtime import (
     DeviceHangError,
-    JobScheduler,
-    QueueReport,
     FaultInjector,
     FpgaRuntime,
     HealthReport,
     Job,
     JobState,
+    OffloadOutcome,
     RegisterLoadError,
     VirtualFpga,
+    offload,
 )
 from .topology import (
     COORDINATOR,
@@ -166,15 +166,15 @@ __all__ = [
     "StreamExecutor",
     "compile_hmvp",
     "DeviceHangError",
-    "JobScheduler",
-    "QueueReport",
     "FaultInjector",
     "FpgaRuntime",
     "HealthReport",
     "Job",
     "JobState",
+    "OffloadOutcome",
     "RegisterLoadError",
     "VirtualFpga",
+    "offload",
     "COORDINATOR",
     "Link",
     "TOPOLOGY_KINDS",

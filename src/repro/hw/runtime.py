@@ -9,40 +9,48 @@ fault-injectable virtual device:
 * :class:`VirtualFpga` — register file, job execution with configurable
   fault injection (register-load bit flips, hangs);
 * :class:`FpgaRuntime` — the host runtime: CRC-checked register loading
-  with bounded retry, a watchdog that resets hung devices and requeues
-  in-flight jobs, and a health monitor aggregating counters.
+  with bounded retry, a watchdog that resets a hung device, and a health
+  monitor aggregating counters;
+* :func:`offload` — the host's one policy for what follows a failed
+  attempt: fail over across runtimes under a simulated-time deadline,
+  then degrade to the CPU path.  The serving layer and the cluster
+  executor both call it.
 
 Applications drive jobs through :meth:`FpgaRuntime.submit` /
-:meth:`FpgaRuntime.poll`; the test-suite injects every fault class and
-asserts recovery.
+:meth:`FpgaRuntime.poll_once`, or through :func:`offload`; the
+test-suite injects every fault class and asserts recovery.
 """
 
 from __future__ import annotations
 
-import asyncio
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from .arch import ChamConfig, cham_default_config
+from .perf import CpuCostModel
 from .pipeline import MacroPipeline
 
 __all__ = [
-    "JobScheduler",
-    "QueueReport",
     "FaultInjector",
     "VirtualFpga",
     "JobState",
     "Job",
     "HealthReport",
     "FpgaRuntime",
+    "OffloadOutcome",
+    "offload",
     "RegisterLoadError",
     "DeviceHangError",
 ]
+
+#: job-descriptor register file base; a job with tag ``t`` loads its
+#: descriptor into ``REGISTER_BASE + t % 256``
+REGISTER_BASE = 0x1000
 
 
 class RegisterLoadError(RuntimeError):
@@ -81,31 +89,19 @@ class FaultInjector:
 
 class JobState(Enum):
     QUEUED = "queued"
-    RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
 
 
 @dataclass
 class Job:
-    """One offloaded HMVP job.
-
-    ``batch_id`` tags jobs that arrived as one drained batch (see
-    :class:`repro.core.batch.BatchQueue`), so the scheduler can report
-    when an *entire batch* retires, not just individual jobs.
-    ``ctx`` carries the originating request's frozen trace context, so
-    device-side attempt spans land in the same trace tree as the serving
-    layer that offloaded the job.
-    """
+    """One offloaded HMVP job: one attempt on one device."""
 
     job_id: int
     rows: int
     col_tiles: int = 1
     state: JobState = JobState.QUEUED
     cycles: int = 0
-    retries: int = 0
-    batch_id: Optional[int] = None
-    ctx: Optional[obs.TraceContext] = None
 
 
 @dataclass
@@ -119,8 +115,6 @@ class HealthReport:
     resets: int
     busy_cycles: int
     temperature_c: float
-    #: total per-job execution retries across the runtime's lifetime
-    job_retries: int = 0
 
     @property
     def healthy(self) -> bool:
@@ -141,7 +135,6 @@ class HealthReport:
             "resets",
             "busy_cycles",
             "temperature_c",
-            "job_retries",
         ):
             reg.set_gauge(f"hw.runtime.{name}", getattr(self, name))
         reg.set_gauge("hw.runtime.healthy", float(self.healthy))
@@ -171,7 +164,7 @@ class VirtualFpga:
     def estimate_cycles(self, rows: int, col_tiles: int = 1) -> int:
         """Cycle cost of a job without executing it (no fault draws).
 
-        The cluster layer prices failover deadlines and partition plans
+        :func:`offload` prices each attempt against the request deadline
         with this: it must match what :meth:`run_job` would charge, and
         it must not advance the fault injector's RNG stream.
         """
@@ -209,16 +202,15 @@ class FpgaRuntime:
         cfg: Optional[ChamConfig] = None,
         faults: Optional[FaultInjector] = None,
         max_register_retries: int = 3,
-        max_job_retries: int = 2,
         lane: Optional[int] = None,
     ) -> None:
         self.cfg = cfg or cham_default_config()
         self.device = VirtualFpga(self.cfg, faults)
         self.max_register_retries = max_register_retries
-        self.max_job_retries = max_job_retries
-        #: Chrome ``pid`` lane for this runtime's attempt spans (None =
-        #: inherit from the job's trace context); serve/cluster layers
-        #: assign one lane per engine/node so traces separate visually
+        #: Chrome ``pid`` lane for :func:`offload`'s attempt spans on
+        #: this runtime (None = inherit from the trace context); serve
+        #: and cluster assign one lane per engine/node so traces
+        #: separate visually
         self.trace_lane = lane
         self._next_job = 0
         self.jobs: Dict[int, Job] = {}
@@ -229,7 +221,6 @@ class FpgaRuntime:
         self.resets = 0
         self.jobs_failed = 0
         self.busy_cycles = 0
-        self.job_retries = 0
 
     # -- register loading with error handling -----------------------------------
 
@@ -255,105 +246,37 @@ class FpgaRuntime:
         """Price a job on this runtime's device without submitting it."""
         return self.device.estimate_cycles(rows, col_tiles)
 
-    def submit(
-        self,
-        rows: int,
-        col_tiles: int = 1,
-        ctx: Optional[obs.TraceContext] = None,
-    ) -> int:
-        """Queue an HMVP job; returns a job id.
-
-        ``ctx`` tags the job with its request's trace context; when
-        omitted, the ambient context (if any) is captured, so callers
-        inside a traced region get attribution for free.
-        """
-        if ctx is None:
-            ctx = obs.current_context()
-        job = Job(
-            job_id=self._next_job, rows=rows, col_tiles=col_tiles, ctx=ctx
-        )
+    def submit(self, rows: int, col_tiles: int = 1) -> int:
+        """Queue an HMVP job; returns a job id."""
+        job = Job(job_id=self._next_job, rows=rows, col_tiles=col_tiles)
         self._next_job += 1
         self.jobs[job.job_id] = job
         return job.job_id
 
     def poll_once(self, job_id: int) -> JobState:
-        """One execution attempt; ``RUNNING`` means a retry is pending.
+        """Make the job's one attempt: ``DONE``, or ``FAILED`` on a hang.
 
-        This is the async-pollable unit the serving layer drives: each
-        call makes exactly one attempt at running the job on the device.
-        A hang triggers one watchdog episode and consumes one unit of
-        the job's retry budget; callers decide when to re-poll (e.g.
-        after an ``await``).  The state machine is total: every call
-        either returns a terminal state (``DONE``/``FAILED``) or leaves
-        the job ``RUNNING`` with ``job.retries`` strictly increased, so
-        at most ``max_job_retries + 1`` calls reach a terminal state.
+        A hang runs one watchdog episode before the job fails.  The
+        episode may not recover the device (a transient hang with slow
+        recovery); the next job's attempt then finds it hung, fails and
+        runs a fresh episode, so a device never stays wedged.  Whether
+        and where to try again is :func:`offload`'s decision, not the
+        runtime's.  Terminal states are sticky.
         """
         job = self.jobs[job_id]
-        if job.state in (JobState.DONE, JobState.FAILED):
+        if job.state is not JobState.QUEUED:
             return job.state
-        job.state = JobState.RUNNING
-        with obs.span(
-            "hw.job.attempt",
-            ctx=job.ctx,
-            pid=self.trace_lane,
-            job=job_id,
-            rows=job.rows,
-            attempt=job.retries,
-        ) as attempt_span:
-            try:
-                job.cycles = self.device.run_job(job)
-            except DeviceHangError:
-                self.hangs_detected += 1
-                self._watchdog_reset()
-                job.retries += 1
-                self.job_retries += 1
-                obs.inc("hw.runtime.job_retries")
-                # A failed watchdog episode is NOT a failed job: the device
-                # may need more resets than one episode performs (transient
-                # hang with slow recovery), and the next attempt runs a new
-                # episode.  Only an exhausted retry budget fails the job —
-                # previously `not recovered` failed it immediately, stranding
-                # recoverable jobs and leaving a hung device to fault every
-                # subsequent submission.
-                if job.retries > self.max_job_retries:
-                    job.state = JobState.FAILED
-                    self.jobs_failed += 1
-                attempt_span.set(outcome=job.state.value)
-                return job.state
-            job.state = JobState.DONE
-            self.busy_cycles += job.cycles
-            self._completed.append(job_id)
-            attempt_span.set(outcome="done", cycles=job.cycles)
+        try:
+            job.cycles = self.device.run_job(job)
+        except DeviceHangError:
+            self.hangs_detected += 1
+            self._watchdog_reset()
+            job.state = JobState.FAILED
+            self.jobs_failed += 1
             return job.state
-
-    def poll(self, job_id: int) -> JobState:
-        """Drive the job to completion (hang/reset handled transparently)."""
-        while True:
-            state = self.poll_once(job_id)
-            if state is not JobState.RUNNING:
-                return state
-
-    async def poll_async(
-        self, job_id: int, retry_delay_s: float = 0.0
-    ) -> JobState:
-        """Asynchronously drive the job to a terminal state.
-
-        Yields to the event loop between execution attempts (sleeping
-        ``retry_delay_s`` after each hang), so a serving front-end can
-        overlap other requests with a device's recovery.  Bounded by the
-        same retry budget as :meth:`poll`: never spins forever.
-        """
-        # defensive bound on top of poll_once's own budget accounting:
-        # even a (hypothetical) state-machine regression that stopped
-        # advancing `retries` could not wedge the event loop
-        for _ in range(self.max_job_retries + 2):
-            state = self.poll_once(job_id)
-            if state is not JobState.RUNNING:
-                return state
-            await asyncio.sleep(retry_delay_s)
-        job = self.jobs[job_id]
-        job.state = JobState.FAILED
-        self.jobs_failed += 1
+        job.state = JobState.DONE
+        self.busy_cycles += job.cycles
+        self._completed.append(job_id)
         return job.state
 
     def _watchdog_reset(self) -> bool:
@@ -379,70 +302,113 @@ class FpgaRuntime:
             resets=self.resets,
             busy_cycles=self.busy_cycles,
             temperature_c=temp,
-            job_retries=self.job_retries,
         )
         report.record_metrics()
         return report
 
 
 @dataclass
-class QueueReport:
-    """Outcome of scheduling a job queue across the engines."""
+class OffloadOutcome:
+    """What one offloaded job came to.
 
-    completions: Dict[int, int]  # job_id -> completion cycle
-    makespan: int
-    per_engine_busy: List[int]
-    #: batch_id -> cycle at which the batch's *last* job completed
-    batch_completions: Dict[int, int] = field(default_factory=dict)
-    #: total execution retries across the scheduled jobs (RAS accounting)
-    retries: int = 0
-
-    @property
-    def utilization(self) -> float:
-        if self.makespan == 0:
-            return 0.0
-        return sum(self.per_engine_busy) / (
-            self.makespan * len(self.per_engine_busy)
-        )
-
-
-class JobScheduler:
-    """Greedy multi-job scheduler over the accelerator's engines.
-
-    The runtime batches queued HMVP jobs and dispatches each to the
-    earliest-available engine (jobs are indivisible: one job's pack tree
-    lives in one engine's reduce buffer).  Longest-job-first ordering
-    keeps the makespan near the lower bound for the mixed job sizes the
-    applications produce.
+    ``served_by`` indexes the candidate list :func:`offload` was given;
+    ``None`` means the job degraded to the CPU path, and ``cycles`` are
+    then CPU-model cycles on the device clock.
     """
 
-    def __init__(self, cfg: Optional[ChamConfig] = None) -> None:
-        self.cfg = cfg or cham_default_config()
-        self._pipeline = MacroPipeline(self.cfg.engine)
+    served_by: Optional[int]
+    attempts: int
+    cycles: int
 
-    def schedule(self, jobs: List[Job]) -> QueueReport:
-        costed = []
-        for job in jobs:
-            stats = self._pipeline.simulate_hmvp(job.rows, job.col_tiles)
-            costed.append((stats.total_cycles, job))
-        costed.sort(key=lambda item: -item[0])  # longest first
-        engines = [0] * self.cfg.engines
-        completions: Dict[int, int] = {}
-        batch_completions: Dict[int, int] = {}
-        for cycles, job in costed:
-            idx = min(range(len(engines)), key=lambda i: engines[i])
-            engines[idx] += cycles
-            completions[job.job_id] = engines[idx]
-            if job.batch_id is not None:
-                batch_completions[job.batch_id] = max(
-                    batch_completions.get(job.batch_id, 0), engines[idx]
+    @property
+    def degraded(self) -> bool:
+        return self.served_by is None
+
+    @property
+    def failed_attempts(self) -> int:
+        return self.attempts - (0 if self.degraded else 1)
+
+
+_CPU_MODEL = CpuCostModel()
+
+
+def offload(
+    candidates: Sequence[Tuple[FpgaRuntime, int]],
+    *,
+    rows: int,
+    cols: int,
+    ring_n: int,
+    tag: int,
+    max_retries: int,
+    deadline_ms: float,
+    clock_hz: float,
+) -> OffloadOutcome:
+    """Offload one HMVP job: fail over across runtimes, then degrade.
+
+    ``candidates`` pairs each runtime with the transfer cycles an
+    attempt on it adds, in failover order; the serving layer passes its
+    engine's runtime alone, the cluster a shard's replicas, primary
+    first.  The list is walked ``max_retries + 1`` times.  Each attempt
+    loads the job descriptor ``(rows << 16) | (tag & 0xFFFF)``, submits
+    the job and polls it once.  Before an attempt its cost is priced
+    with :meth:`FpgaRuntime.estimate_cycles` plus the transfer, which
+    draws nothing from the fault injector; the walk stops once the
+    simulated time of the failed attempts plus that estimate would pass
+    ``deadline_ms``.  The job then degrades: the CPU path computes the
+    same exact result, priced by :class:`~repro.hw.perf.CpuCostModel`,
+    so no job is ever dropped.
+
+    Every attempt opens one ``hw.offload.attempt`` span on its
+    runtime's trace lane; later attempts and the ``hw.offload.degrade``
+    span link back to the first, so an exported trace connects the
+    failover chain.
+    """
+    col_tiles = -(-cols // ring_n)
+    spent_ms = 0.0
+    attempts = 0
+    first_sid = ""
+    order = [i for _ in range(max_retries + 1) for i in range(len(candidates))]
+    for index in order:
+        runtime, transfer_cycles = candidates[index]
+        est_cycles = runtime.estimate_cycles(rows, col_tiles) + transfer_cycles
+        est_ms = 1e3 * est_cycles / clock_hz
+        if spent_ms + est_ms > deadline_ms:
+            # the next attempt cannot finish inside the deadline on the
+            # simulated clock: stop failing over
+            break
+        attempts += 1
+        with obs.span(
+            "hw.offload.attempt",
+            pid=runtime.trace_lane,
+            links=(first_sid,) if first_sid else None,
+            tag=tag,
+            rows=rows,
+            candidate=index,
+            attempt=attempts,
+        ) as attempt_span:
+            first_sid = first_sid or attempt_span.span_id
+            try:
+                runtime.load_register_checked(
+                    REGISTER_BASE + tag % 256, (rows << 16) | (tag & 0xFFFF)
                 )
-            job.cycles = cycles
-            job.state = JobState.DONE
-        return QueueReport(
-            completions=completions,
-            makespan=max(engines) if engines else 0,
-            per_engine_busy=engines,
-            batch_completions=batch_completions,
-            retries=sum(job.retries for job in jobs),
-        )
+                job_id = runtime.submit(rows, col_tiles)
+                done = runtime.poll_once(job_id) is JobState.DONE
+            except RegisterLoadError:
+                done = False
+            if not done:
+                attempt_span.set(outcome="hang")
+                spent_ms += est_ms
+                continue
+            cycles = runtime.jobs[job_id].cycles
+            attempt_span.set(outcome="ok", cycles=cycles)
+            return OffloadOutcome(served_by=index, attempts=attempts, cycles=cycles)
+    with obs.span(
+        "hw.offload.degrade",
+        links=(first_sid,) if first_sid else None,
+        tag=tag,
+        attempts=attempts,
+    ):
+        cpu_s = _CPU_MODEL.hmvp_s(rows, cols, ring_n=ring_n)
+    return OffloadOutcome(
+        served_by=None, attempts=attempts, cycles=int(cpu_s * clock_hz)
+    )

@@ -8,9 +8,10 @@ See :mod:`repro.serve.server` for the full design; the short version:
 * batches fan out across multiple engine workers (the paper's
   two-engine configuration and beyond), each with its own
   fault-injectable RAS runtime;
-* faulted offloads retry with exponential backoff, then degrade to the
-  CPU path — an admitted request always reaches a terminal
-  :class:`ServeOutcome`, never a silent drop.
+* faulted offloads retry through :func:`repro.hw.runtime.offload`, the
+  policy the cluster executor shares, then degrade to the CPU path — an
+  admitted request always reaches a terminal :class:`ServeOutcome`,
+  never a silent drop.
 """
 
 from .server import (

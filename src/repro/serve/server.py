@@ -14,13 +14,13 @@ front-end for the reproduction:
   encoded-matrix cache: the matrix is encoded once process-wide; the
   engines split the host's CPUs between their worker pools) and a
   fault-injectable :class:`~repro.hw.runtime.FpgaRuntime`;
-* fault tolerance — a job whose simulated offload hits
-  :class:`~repro.hw.runtime.DeviceHangError` /
-  :class:`~repro.hw.runtime.RegisterLoadError` is retried with
-  exponential backoff up to ``max_retries``, then **degraded** to the
-  CPU path (same exact arithmetic, priced by
-  :class:`~repro.hw.perf.CpuCostModel`) so no admitted request is ever
-  silently dropped;
+* fault tolerance — each request's simulated offload goes through
+  :func:`~repro.hw.runtime.offload`, the policy the cluster executor
+  shares: a failed attempt (device hang or register-load error) is
+  retried on the engine's runtime up to ``max_retries`` times within
+  the request's deadline, then **degraded** to the CPU path (same exact
+  arithmetic, priced by :class:`~repro.hw.perf.CpuCostModel`) so no
+  admitted request is ever silently dropped;
 * deadlines — each request carries one; requests that expire while
   queued complete with :attr:`RequestStatus.DEADLINE` instead of
   consuming compute.
@@ -49,15 +49,7 @@ from ..core.batch import BatchedHmvp, EncodedMatrixCache, host_cpus
 from ..he.bfv import BfvScheme
 from ..he.rlwe import RlweCiphertext
 from ..hw.arch import ChamConfig, cham_default_config
-from ..hw.perf import CpuCostModel
-from ..hw.runtime import (
-    DeviceHangError,
-    FaultInjector,
-    FpgaRuntime,
-    HealthReport,
-    JobState,
-    RegisterLoadError,
-)
+from ..hw.runtime import FaultInjector, FpgaRuntime, HealthReport, offload
 
 __all__ = [
     "ServeConfig",
@@ -73,9 +65,6 @@ __all__ = [
 #: per-request deadline when ``submit`` is given none (generous: serving
 #: must not time out under nominal load)
 DEADLINE_MS = 60_000.0
-#: retry ``k`` backs off ``min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * 2**(k-1))``
-BACKOFF_BASE_MS = 1.0
-BACKOFF_CAP_MS = 20.0
 
 
 @dataclass
@@ -136,6 +125,9 @@ class _Pending:
     request_id: int
     ct: RlweCiphertext
     deadline_t: float  #: event-loop time after which it expires
+    #: the budget it was admitted with; also bounds its offload attempts
+    #: in simulated time
+    deadline_ms: float
     enqueue_t: float
     future: "asyncio.Future[ServeOutcome]"
     #: trace root minted at admission; every span this request produces
@@ -276,7 +268,6 @@ class ServeReport:
                 {
                     "jobs_completed": h.jobs_completed,
                     "jobs_failed": h.jobs_failed,
-                    "job_retries": h.job_retries,
                     "hangs_detected": h.hangs_detected,
                     "resets": h.resets,
                     "register_retries": h.register_retries,
@@ -296,8 +287,6 @@ class HmvpServer:
     terminal state.
     """
 
-    _REGISTER_BASE = 0x1000  #: job-descriptor register file base address
-
     def __init__(
         self,
         scheme: BfvScheme,
@@ -310,6 +299,13 @@ class HmvpServer:
         self.config = config or ServeConfig()
         if self.config.engines < 1:
             raise ValueError("need at least one engine")
+        # asyncio.Queue(maxsize=0) is unbounded: shed-on-full would vanish
+        if self.config.queue_capacity < 1:
+            raise ValueError("queue_capacity must be at least 1")
+        if self.config.max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
+        if self.config.max_retries < 0:
+            raise ValueError("max_retries must be at least 0")
         if fault_injectors is not None and len(fault_injectors) != self.config.engines:
             raise ValueError("one fault injector per engine")
         self.cham = cham or cham_default_config()
@@ -333,14 +329,8 @@ class HmvpServer:
                     register_flip_prob=self.config.register_flip_rate,
                     seed=self.config.seed + engine_id,
                 )
-            # max_job_retries=0: a hang surfaces as one FAILED attempt so
-            # retry policy (backoff, budget, degrade) lives up here where
-            # it is observable, not inside the driver's blind loop
             runtime = FpgaRuntime(
-                cfg=self.cham,
-                faults=faults,
-                max_job_retries=0,
-                lane=engine_id + 1,
+                cfg=self.cham, faults=faults, lane=engine_id + 1
             )
             self.workers.append(EngineWorker(engine_id, engine, runtime))
         if self.workers[0].engine.encoded.col_tiles != 1:
@@ -351,7 +341,6 @@ class HmvpServer:
         self.cache = shared_cache
         self.rows = int(matrix.shape[0])
         self.cols = int(matrix.shape[1])
-        self._cpu_model = CpuCostModel()
         self._queue: "asyncio.Queue[_Pending]" = asyncio.Queue(
             maxsize=self.config.queue_capacity
         )
@@ -408,8 +397,12 @@ class HmvpServer:
         explicit outcome, not an exception and not a silent drop.  A
         ciphertext the engines cannot take (see
         :meth:`~repro.core.batch.BatchedHmvp.check_request`) raises
-        ``ValueError`` here, before it can reach a batch.
+        ``ValueError`` here, before it can reach a batch.  A server that
+        is not started, or is closing, raises ``RuntimeError``: no
+        worker would ever resolve the future.
         """
+        if not self._tasks or self._closing:
+            raise RuntimeError("server is not running")
         self.workers[0].engine.check_request(ct)
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[ServeOutcome]" = loop.create_future()
@@ -421,6 +414,7 @@ class HmvpServer:
             request_id=request_id,
             ct=ct,
             deadline_t=now + budget_ms / 1000.0,
+            deadline_ms=budget_ms,
             enqueue_t=now,
             future=future,
             ctx=obs.TRACER.new_trace() if obs.TRACER.enabled else None,
@@ -521,82 +515,53 @@ class HmvpServer:
             exec_done_t = loop.time()
             # simulated accelerator offload per request: this decides
             # whether the request was served by the FPGA or degraded,
-            # and what it cost on the device clock
+            # and what it cost on the device clock.  Its span opens under
+            # the request's own trace root (minted at admission) and
+            # links back to the batch that computed its ciphertext.
             for pending, result in zip(live, results):
-                outcome = await self._offload(
-                    worker, pending, batch_span.span_id
+                with obs.span(
+                    "serve.request",
+                    ctx=pending.ctx,
+                    links=(batch_span.span_id,) if batch_span.span_id else None,
+                    rid=pending.request_id,
+                    engine=worker.engine_id,
+                ) as request_span:
+                    offloaded = offload(
+                        [(worker.runtime, 0)],
+                        rows=self.rows,
+                        cols=self.cols,
+                        ring_n=self.scheme.params.n,
+                        tag=pending.request_id,
+                        max_retries=self.config.max_retries,
+                        deadline_ms=pending.deadline_ms,
+                        clock_hz=self.cham.clock_hz,
+                    )
+                    retries = max(offloaded.attempts - 1, 0)
+                    status = (
+                        RequestStatus.DEGRADED
+                        if offloaded.degraded
+                        else RequestStatus.OK
+                    )
+                    request_span.set(status=status.value, retries=retries)
+                if retries:
+                    obs.inc("serve.retries", retries)
+                obs.inc("serve.degraded" if offloaded.degraded else "serve.completed")
+                self._resolve(
+                    pending,
+                    ServeOutcome(
+                        request_id=pending.request_id,
+                        status=status,
+                        engine=worker.engine_id,
+                        retries=retries,
+                        queue_ms=1e3 * (start_t - pending.enqueue_t),
+                        execute_ms=1e3 * (exec_done_t - start_t),
+                        total_ms=1e3 * (loop.time() - pending.enqueue_t),
+                        cycles=offloaded.cycles,
+                        result=result,
+                    ),
                 )
-                outcome.result = result
-                outcome.queue_ms = 1e3 * (start_t - pending.enqueue_t)
-                outcome.execute_ms = 1e3 * (exec_done_t - start_t)
-                outcome.total_ms = 1e3 * (loop.time() - pending.enqueue_t)
-                self._resolve(pending, outcome)
         worker.batches_served += 1
         worker.requests_served += len(live)
-
-    async def _offload(
-        self, worker: EngineWorker, pending: _Pending, batch_span_id: str = ""
-    ) -> ServeOutcome:
-        """Drive one request's job through the RAS runtime with retries.
-
-        The span opens under the request's own trace root (minted at
-        admission) and links back to the ``serve.batch`` span that
-        computed its ciphertext, so the exported trace connects the
-        shared batch work to each per-request offload tree.
-        """
-        runtime = worker.runtime
-        retries = 0
-        with obs.span(
-            "serve.request",
-            ctx=pending.ctx,
-            links=(batch_span_id,) if batch_span_id else None,
-            rid=pending.request_id,
-            engine=worker.engine_id,
-        ) as request_span:
-            while True:
-                try:
-                    # register-load fault class: the job descriptor write
-                    runtime.load_register_checked(
-                        self._REGISTER_BASE + (pending.request_id % 256),
-                        (self.rows << 16) | (pending.request_id & 0xFFFF),
-                    )
-                    job_id = runtime.submit(rows=self.rows, col_tiles=1)
-                    state = await runtime.poll_async(job_id)
-                    if state is JobState.DONE:
-                        obs.inc("serve.completed")
-                        request_span.set(status="ok", retries=retries)
-                        return ServeOutcome(
-                            request_id=pending.request_id,
-                            status=RequestStatus.OK,
-                            engine=worker.engine_id,
-                            retries=retries,
-                            cycles=runtime.jobs[job_id].cycles,
-                        )
-                    # FAILED: fall through to the retry/degrade policy
-                except (DeviceHangError, RegisterLoadError):
-                    pass
-                if retries >= self.config.max_retries:
-                    break
-                retries += 1
-                obs.inc("serve.retries")
-                backoff_ms = min(
-                    BACKOFF_CAP_MS, BACKOFF_BASE_MS * (2 ** (retries - 1))
-                )
-                await asyncio.sleep(backoff_ms / 1000.0)
-            # accelerator budget exhausted: degrade to the CPU path (the
-            # functional result is already exact; this prices it)
-            obs.inc("serve.degraded")
-            request_span.set(status="degraded", retries=retries)
-            cpu_s = self._cpu_model.hmvp_s(
-                self.rows, self.cols, ring_n=self.scheme.params.n
-            )
-            return ServeOutcome(
-                request_id=pending.request_id,
-                status=RequestStatus.DEGRADED,
-                engine=worker.engine_id,
-                retries=retries,
-                cycles=int(cpu_s * self.cham.clock_hz),
-            )
 
     @staticmethod
     def _resolve(pending: _Pending, outcome: ServeOutcome) -> None:
@@ -642,14 +607,20 @@ def serve_requests(
     async def _run() -> ServeReport:
         server = HmvpServer(scheme, matrix, config)
         await server.start()
-        start = time.perf_counter()
-        futures = []
-        for i, ct in enumerate(cts):
-            deadline = deadlines_ms[i] if deadlines_ms is not None else None
-            futures.append(await server.submit(ct, deadline_ms=deadline))
-        outcomes = list(await asyncio.gather(*futures))
-        wall_s = time.perf_counter() - start
-        await server.close()
-        return server.report(outcomes, wall_s)
+        try:
+            start = time.perf_counter()
+            futures = []
+            for i, ct in enumerate(cts):
+                deadline = deadlines_ms[i] if deadlines_ms is not None else None
+                futures.append(await server.submit(ct, deadline_ms=deadline))
+            # retrieve every future, so a failed batch's mates are read too
+            settled = await asyncio.gather(*futures, return_exceptions=True)
+            wall_s = time.perf_counter() - start
+        finally:
+            await server.close()
+        for outcome in settled:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return server.report(list(settled), wall_s)
 
     return asyncio.run(_run())

@@ -266,14 +266,14 @@ class TestBlockingCallInAsync:
         text = ASYNC_TEMPLATE.format(body="status = runtime.poll(job)")
         diags = run_rule("REPRO104", text)
         assert ids_of(diags) == ["REPRO104"]
-        assert "poll_async" in diags[0].message
+        assert "executor" in diags[0].message
 
     def test_clean_awaited_equivalents(self):
         text = (
             "async def handler(req):\n"
             "    await asyncio.sleep(0.1)\n"
             "    out = await loop.run_in_executor(None, work)\n"
-            "    status = await runtime.poll_async(job)\n"
+            "    status = await loop.run_in_executor(None, runtime.poll_once, job)\n"
             "    return out\n"
         )
         assert run_rule("REPRO104", text) == []

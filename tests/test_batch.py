@@ -9,7 +9,6 @@ from repro import obs
 from repro.core import batch as batch_module
 from repro.core.batch import (
     BatchedHmvp,
-    BatchQueue,
     EncodedMatrixCache,
     matrix_fingerprint,
 )
@@ -201,61 +200,3 @@ def test_multiply_batch_with_workers(
         assert np.array_equal(
             p.decrypt(scheme128), matrix.astype(object) @ v.astype(object)
         )
-
-
-def test_batch_queue_submit_drain(scheme128, matrix, rng_module):
-    reg = obs.enable_metrics()
-    try:
-        queue = BatchQueue(BatchedHmvp(scheme128, matrix), workers=2)
-        vs = [rng_module.integers(-40, 40, 128) for _ in range(3)]
-        ids = [queue.submit(scheme128.encrypt_vector(v)) for v in vs]
-        assert ids == [0, 1, 2]
-        assert queue.depth == 3
-        assert reg.snapshot()["gauges"]["batch.queue.depth"] == 3
-        report = queue.drain()
-        assert queue.depth == 0
-        assert reg.snapshot()["gauges"]["batch.queue.depth"] == 0
-        assert report.request_ids == ids
-        for res, v in zip(report.results, vs):
-            assert np.array_equal(
-                res.decrypt(scheme128),
-                matrix.astype(object) @ v.astype(object),
-            )
-        # the drain was priced as one batch on the simulated engines
-        assert report.schedule.makespan > 0
-        assert set(report.schedule.batch_completions) == {0}
-        assert (
-            report.schedule.batch_completions[0] == report.schedule.makespan
-        )
-    finally:
-        obs.disable_metrics()
-        obs.REGISTRY.reset()
-
-
-def test_batch_queue_empty_drain(scheme128, matrix):
-    queue = BatchQueue(BatchedHmvp(scheme128, matrix))
-    report = queue.drain()
-    assert report.request_ids == [] and report.results == []
-    assert report.schedule.makespan == 0
-
-
-def test_batch_queue_rejects_non_augmented(scheme128, matrix):
-    queue = BatchQueue(BatchedHmvp(scheme128, matrix))
-    with pytest.raises(ValueError, match="augmented"):
-        queue.submit(scheme128.encrypt_vector([1], augmented=False))
-
-
-def test_scheduler_batch_completions_tag():
-    from repro.hw.runtime import Job, JobScheduler
-
-    sched = JobScheduler()
-    jobs = [
-        Job(job_id=0, rows=16, batch_id=7),
-        Job(job_id=1, rows=32, batch_id=7),
-        Job(job_id=2, rows=8),  # untagged: never in batch_completions
-    ]
-    report = sched.schedule(jobs)
-    assert set(report.batch_completions) == {7}
-    assert report.batch_completions[7] == max(
-        report.completions[0], report.completions[1]
-    )

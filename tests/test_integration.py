@@ -102,4 +102,4 @@ def test_runtime_serves_hmvp_jobs_sized_from_apps(scheme128, rng):
 
     rt = FpgaRuntime()
     jid = rt.submit(rows=12, col_tiles=1)  # a HeteroLR gradient block
-    assert rt.poll(jid) == JobState.DONE
+    assert rt.poll_once(jid) == JobState.DONE

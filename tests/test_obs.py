@@ -315,7 +315,7 @@ def test_pipeline_and_runtime_instrumentation():
     assert 0 < snap["gauges"]["hw.pipeline.dot_occupancy"] <= 1
     # the runtime simulates its own pipeline jobs on top
     runtime = FpgaRuntime()
-    runtime.poll(runtime.submit(16))
+    runtime.poll_once(runtime.submit(16))
     runtime.health()
     snap = reg.snapshot()
     assert snap["counters"]["hw.pipeline.reductions"] > 255

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw.perf import CpuCostModel
 from repro.hw.runtime import (
     DeviceHangError,
     FaultInjector,
@@ -9,14 +10,29 @@ from repro.hw.runtime import (
     JobState,
     RegisterLoadError,
     VirtualFpga,
+    offload,
 )
 from repro.hw.arch import cham_default_config
+
+
+def _offload(runtimes, max_retries, rows=16, tag=0, deadline_ms=60_000.0):
+    """One job of ``rows`` x ring-degree columns through the policy."""
+    return offload(
+        [(rt, 0) for rt in runtimes],
+        rows=rows,
+        cols=4096,
+        ring_n=4096,
+        tag=tag,
+        max_retries=max_retries,
+        deadline_ms=deadline_ms,
+        clock_hz=runtimes[0].cfg.clock_hz,
+    )
 
 
 def test_clean_job_lifecycle():
     rt = FpgaRuntime()
     jid = rt.submit(rows=64)
-    assert rt.poll(jid) == JobState.DONE
+    assert rt.poll_once(jid) == JobState.DONE
     assert rt.jobs[jid].cycles > 0
     report = rt.health()
     assert report.jobs_completed == 1
@@ -26,8 +42,8 @@ def test_clean_job_lifecycle():
 def test_poll_is_idempotent():
     rt = FpgaRuntime()
     jid = rt.submit(rows=16)
-    assert rt.poll(jid) == JobState.DONE
-    assert rt.poll(jid) == JobState.DONE
+    assert rt.poll_once(jid) == JobState.DONE
+    assert rt.poll_once(jid) == JobState.DONE
     assert rt.health().jobs_completed == 1
 
 
@@ -56,18 +72,19 @@ def test_register_load_gives_up():
 
 def test_hang_is_recovered_by_watchdog():
     faults = FaultInjector(hang_prob=0.5, resets_to_recover=1, seed=2)
-    rt = FpgaRuntime(faults=faults, max_job_retries=12)
-    states = [rt.poll(rt.submit(rows=32)) for _ in range(8)]
-    assert all(s == JobState.DONE for s in states)
+    rt = FpgaRuntime(faults=faults)
+    outcomes = [_offload([rt], 12, rows=32, tag=i) for i in range(8)]
+    assert all(o.served_by == 0 for o in outcomes)
+    assert rt.health().jobs_completed == 8
     assert rt.hangs_detected > 0
     assert rt.resets >= rt.hangs_detected
 
 
 def test_permanent_hang_fails_job():
     faults = FaultInjector(hang_prob=1.0, resets_to_recover=10**9, seed=4)
-    rt = FpgaRuntime(faults=faults, max_job_retries=1)
+    rt = FpgaRuntime(faults=faults)
     jid = rt.submit(rows=8)
-    assert rt.poll(jid) == JobState.FAILED
+    assert rt.poll_once(jid) == JobState.FAILED
     report = rt.health()
     assert report.jobs_failed == 1
     assert not report.healthy
@@ -90,7 +107,7 @@ def test_health_temperature_tracks_load():
     rt = FpgaRuntime()
     t0 = rt.health().temperature_c
     for _ in range(3):
-        rt.poll(rt.submit(rows=2048))
+        rt.poll_once(rt.submit(rows=2048))
     t1 = rt.health().temperature_c
     assert t1 > t0
 
@@ -100,138 +117,124 @@ def test_job_cycles_match_pipeline():
 
     rt = FpgaRuntime()
     jid = rt.submit(rows=128, col_tiles=2)
-    rt.poll(jid)
+    rt.poll_once(jid)
     expect = MacroPipeline(rt.cfg.engine).simulate_hmvp(128, 2).total_cycles
     assert rt.jobs[jid].cycles == expect
 
 
-def test_job_scheduler_balances_engines():
-    from repro.hw.runtime import Job, JobScheduler
-
-    sched = JobScheduler()
-    jobs = [Job(job_id=i, rows=256) for i in range(8)]
-    report = sched.schedule(jobs)
-    assert len(report.completions) == 8
-    # equal jobs split 4/4 across the two engines
-    assert abs(report.per_engine_busy[0] - report.per_engine_busy[1]) < 1
-    assert report.utilization > 0.99
-    assert all(j.state.value == "done" for j in jobs)
-
-
-def test_job_scheduler_longest_first_beats_naive_makespan():
-    from repro.hw.runtime import Job, JobScheduler
-
-    sched = JobScheduler()
-    jobs = [Job(job_id=0, rows=2048)] + [
-        Job(job_id=i, rows=64) for i in range(1, 9)
-    ]
-    report = sched.schedule(jobs)
-    # the long job defines the makespan; the short ones hide behind it
-    long_cycles = jobs[0].cycles
-    assert report.makespan < long_cycles * 1.2
-
-
-def test_job_scheduler_empty_queue():
-    from repro.hw.runtime import JobScheduler
-
-    report = JobScheduler().schedule([])
-    assert report.makespan == 0
-    assert report.utilization == 0.0
-
-
-# -- poll_once / poll_async / retry-budget state machine (serving layer) --
+# -- the offload policy: retry budget, watchdog episodes, degrade ------------
 
 
 def test_hang_twice_with_watchdog_still_terminates():
-    """ISSUE regression: a job hitting the hang fault twice in a row,
-    with the watchdog resetting in between, must still reach a terminal
-    state — completed here, since the retry budget covers both hangs."""
+    """A job hitting the hang fault twice in a row, with the watchdog
+    resetting in between, must still reach a terminal outcome — served
+    here, since the retry budget covers both hangs."""
     faults = FaultInjector(hang_script=[True, True, False])
-    rt = FpgaRuntime(faults=faults, max_job_retries=2)
-    jid = rt.submit(rows=16)
-    assert rt.poll(jid) == JobState.DONE
-    assert rt.jobs[jid].retries == 2
+    rt = FpgaRuntime(faults=faults)
+    outcome = _offload([rt], max_retries=2)
+    assert outcome.served_by == 0 and not outcome.degraded
+    assert outcome.attempts == 3 and outcome.failed_attempts == 2
+    assert outcome.cycles == rt.estimate_cycles(16)
     assert rt.hangs_detected == 2
     report = rt.health()
-    assert report.job_retries == 2
     assert report.jobs_completed == 1
-    assert report.healthy
+    assert report.jobs_failed == 2  # one failed job per hung attempt
 
 
 def test_hang_twice_budget_one_reports_failed_not_running():
-    """With budget for only one retry, the second hang must FAIL the
-    job — never leave it stuck RUNNING."""
+    """With budget for only one retry, the second hang degrades the job
+    to the CPU path — it never stays pending."""
     faults = FaultInjector(hang_script=[True, True])
-    rt = FpgaRuntime(faults=faults, max_job_retries=1)
-    jid = rt.submit(rows=16)
-    assert rt.poll(jid) == JobState.FAILED
-    assert rt.jobs[jid].state == JobState.FAILED
-    assert rt.health().jobs_failed == 1
+    rt = FpgaRuntime(faults=faults)
+    outcome = _offload([rt], max_retries=1)
+    assert outcome.degraded and outcome.served_by is None
+    assert outcome.attempts == outcome.failed_attempts == 2
+    cpu_s = CpuCostModel().hmvp_s(16, 4096, ring_n=4096)
+    assert outcome.cycles == int(cpu_s * rt.cfg.clock_hz)
+    assert all(j.state is JobState.FAILED for j in rt.jobs.values())
+    assert rt.health().jobs_failed == 2
 
 
 def test_slow_recovery_survives_across_watchdog_episodes():
-    """The watchdog gap fix: one episode performs 3 resets; a device
-    needing 4 must NOT fail a job that still has retry budget — the
-    next attempt runs a fresh episode and recovers the device."""
+    """One watchdog episode performs 3 resets; a device needing 4 must
+    NOT fail a job that still has retry budget — the next attempt finds
+    the device hung, runs a fresh episode and recovers it."""
     faults = FaultInjector(
         hang_script=[True], resets_to_recover=4
     )
-    rt = FpgaRuntime(faults=faults, max_job_retries=2)
-    jid = rt.submit(rows=16)
-    assert rt.poll(jid) == JobState.DONE
+    rt = FpgaRuntime(faults=faults)
+    outcome = _offload([rt], max_retries=2)
+    assert outcome.served_by == 0
     assert not rt.device.hung
     # episode 1: 3 resets (insufficient); episode 2 on hung-device
     # re-entry: 1 more reset recovers
     assert rt.resets >= 4
-    assert rt.jobs[jid].retries == 2
+    assert outcome.attempts == 3
 
 
 def test_poll_once_single_step_semantics():
+    """poll_once makes exactly one attempt: a hang fails the job after
+    one watchdog episode, and terminal states are sticky."""
     faults = FaultInjector(hang_script=[True, False])
-    rt = FpgaRuntime(faults=faults, max_job_retries=2)
+    rt = FpgaRuntime(faults=faults)
     jid = rt.submit(rows=16)
-    assert rt.poll_once(jid) == JobState.RUNNING  # hang consumed a retry
-    assert rt.jobs[jid].retries == 1
-    assert rt.poll_once(jid) == JobState.DONE
-    # terminal states are sticky
-    assert rt.poll_once(jid) == JobState.DONE
+    assert rt.poll_once(jid) == JobState.FAILED
+    assert rt.resets == 1
+    assert rt.poll_once(jid) == JobState.FAILED  # no second attempt
+    assert rt.hangs_detected == 1
+    second = rt.submit(rows=16)
+    assert rt.poll_once(second) == JobState.DONE
+    assert rt.poll_once(second) == JobState.DONE
     assert rt.health().jobs_completed == 1
-
-
-def test_poll_async_terminates_and_matches_sync():
-    import asyncio
-
-    faults = FaultInjector(hang_script=[True, True, False])
-    rt = FpgaRuntime(faults=faults, max_job_retries=2)
-    jid = rt.submit(rows=16)
-    assert asyncio.run(rt.poll_async(jid)) == JobState.DONE
-    assert rt.jobs[jid].retries == 2
-
-    faults2 = FaultInjector(hang_prob=1.0, resets_to_recover=10**9)
-    rt2 = FpgaRuntime(faults=faults2, max_job_retries=1)
-    jid2 = rt2.submit(rows=16)
-    assert asyncio.run(rt2.poll_async(jid2)) == JobState.FAILED
-    assert rt2.health().jobs_failed == 1
 
 
 def test_hung_device_does_not_poison_next_job():
     """After a job exhausts its budget, the failed-job path must leave
-    the device recoverable: the next submission gets its own watchdog
-    episodes and completes."""
+    the device recoverable: the next job gets its own watchdog episodes
+    and completes."""
     faults = FaultInjector(hang_script=[True, True, False])
-    rt = FpgaRuntime(faults=faults, max_job_retries=0)
-    first = rt.submit(rows=16)
-    assert rt.poll(first) == JobState.FAILED
-    second = rt.submit(rows=16)
-    assert rt.poll(second) == JobState.FAILED  # second scripted hang
-    third = rt.submit(rows=16)
-    assert rt.poll(third) == JobState.DONE  # script exhausted: runs clean
+    rt = FpgaRuntime(faults=faults)
+    first = _offload([rt], max_retries=0, tag=0)
+    assert first.degraded
+    second = _offload([rt], max_retries=0, tag=1)
+    assert second.degraded  # second scripted hang
+    third = _offload([rt], max_retries=0, tag=2)
+    assert third.served_by == 0  # script exhausted: runs clean
     assert rt.health().jobs_failed == 2
 
 
-def test_scheduler_reports_retry_totals():
-    from repro.hw.runtime import Job, JobScheduler
+def test_offload_fails_over_in_candidate_order():
+    """A failed attempt moves to the next candidate; passes repeat the
+    list in the same order, so a shard's primary is always tried first."""
+    hung = FpgaRuntime(faults=FaultInjector(hang_script=[True, True]))
+    spare = FpgaRuntime(faults=FaultInjector(hang_script=[True]))
+    outcome = _offload([hung, spare], max_retries=1)
+    # hung, spare, hung again, then the spare (script now empty)
+    assert outcome.served_by == 1 and outcome.attempts == 4
+    assert hung.hangs_detected == 2 and spare.hangs_detected == 1
 
-    jobs = [Job(job_id=i, rows=64, retries=i % 2) for i in range(6)]
-    report = JobScheduler().schedule(jobs)
-    assert report.retries == 3
+
+def test_offload_stops_at_the_simulated_deadline():
+    """The walk stops once the failed attempts plus the next estimate
+    pass the deadline, so a tight deadline degrades without trying."""
+    rt = FpgaRuntime(faults=FaultInjector(hang_script=[True, True, True]))
+    est_ms = 1e3 * rt.estimate_cycles(16) / rt.cfg.clock_hz
+    outcome = _offload([rt], max_retries=5, deadline_ms=2.5 * est_ms)
+    assert outcome.degraded and outcome.attempts == 2
+    untouched = FpgaRuntime()
+    assert _offload([untouched], max_retries=5, deadline_ms=0.5 * est_ms).attempts == 0
+    assert untouched.jobs == {}
+
+
+def test_register_load_failure_is_a_failed_attempt():
+    """A descriptor that never loads cleanly fails the attempt before
+    any job is submitted; the policy moves on like after a hang."""
+    flaky = FpgaRuntime(
+        faults=FaultInjector(register_flip_prob=1.0, seed=1),
+        max_register_retries=1,
+    )
+    clean = FpgaRuntime()
+    outcome = _offload([flaky, clean], max_retries=0, tag=7)
+    assert outcome.served_by == 1 and outcome.attempts == 2
+    assert flaky.jobs == {} and flaky.register_retries == 2
+    assert clean.device.registers[0x1007] == (16 << 16) | 7

@@ -8,11 +8,14 @@ deadline), under every injected fault pattern.
 import asyncio
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.cluster import ClusterConfig, ClusterExecutor
+from repro.core.batch import BatchedHmvp
 from repro.he.rlwe import RlweCiphertext
 from repro.hw.runtime import FaultInjector
 from repro.math.primes import find_ntt_prime
@@ -124,7 +127,6 @@ def test_scripted_faults_all_retried_to_success(scheme128, matrix8, vectors8, ct
     assert rep.ok == len(cts8)
     assert rep.dropped == 0
     assert all(o.retries == 1 for o in rep.outcomes)
-    assert rep.engine_health[0].job_retries == len(cts8)
     assert rep.engine_health[0].hangs_detected == len(cts8)
 
 
@@ -314,6 +316,124 @@ def test_foreign_and_failed_requests_never_strand_the_server(
     assert np.array_equal(
         later.result.decrypt(scheme128), _expected(matrix8, vectors8[2])
     )
+
+
+def _serve_engine_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("serve-engine")}
+
+
+def test_serve_requests_closes_the_server_when_a_batch_fails(
+    scheme128, matrix8, cts8, monkeypatch
+):
+    """Regression: a failed batch made serve_requests raise before it
+    closed the server, so the engine pool thread outlived the call and
+    the batch-mates' errors were never retrieved.  The error still
+    propagates; the server is closed on the way out."""
+    before = _serve_engine_threads()
+
+    def fail(self, cts, workers=None):
+        raise RuntimeError("injected batch failure")
+
+    monkeypatch.setattr(BatchedHmvp, "multiply_batch", fail)
+    config = ServeConfig(engines=1, max_batch=2, queue_capacity=8, seed=14)
+    with pytest.raises(RuntimeError, match="injected"):
+        serve_requests(scheme128, matrix8, cts8[:4], config)
+    assert not _serve_engine_threads() - before
+
+
+def test_submit_refuses_a_server_that_is_not_running(scheme128, matrix8, cts8):
+    """Regression: submit before start() or after close() returned a
+    future no worker would ever resolve.  It now raises RuntimeError."""
+    config = ServeConfig(engines=1, queue_capacity=8, seed=15)
+
+    async def outcome(server, ct):
+        return await (await server.submit(ct))
+
+    async def _run():
+        server = HmvpServer(scheme128, matrix8, config)
+        with pytest.raises(RuntimeError, match="not running"):
+            await asyncio.wait_for(outcome(server, cts8[0]), timeout=5)
+        await server.start()
+        served = await asyncio.wait_for(outcome(server, cts8[0]), timeout=60)
+        await server.close()
+        with pytest.raises(RuntimeError, match="not running"):
+            await asyncio.wait_for(outcome(server, cts8[1]), timeout=5)
+        return served
+
+    served = asyncio.run(_run())
+    assert served.status is RequestStatus.OK
+
+
+@pytest.mark.parametrize(
+    "layer, field, value",
+    [
+        ("serve", "queue_capacity", 0),
+        ("serve", "max_batch", 0),
+        ("serve", "max_retries", -1),
+        ("cluster", "max_retries", -1),
+    ],
+)
+def test_configs_reject_values_that_break_their_policy(
+    scheme128, matrix8, layer, field, value
+):
+    """queue_capacity 0 would make the admission queue unbounded,
+    max_batch 0 would silently mean batches of one, and a negative
+    retry budget would make one attempt in serve and none in the
+    cluster: each raises at construction."""
+    with pytest.raises(ValueError, match=field):
+        if layer == "serve":
+            HmvpServer(scheme128, matrix8, ServeConfig(engines=1, **{field: value}))
+        else:
+            ClusterExecutor(
+                scheme128, matrix8, config=ClusterConfig(nodes=1, **{field: value})
+            )
+
+
+def test_serve_and_cluster_share_one_offload_policy(scheme128, matrix8, cts8):
+    """A one-engine server and a one-node cluster fed the same hang
+    script make the same attempts: equal busy cycles, equal failed
+    attempts and the same CPU-path price for the request that degrades."""
+    # request 0: one retry; 1: two; 2: three hangs, degraded; 3-5: clean
+    script = [True, False, True, True, False, True, True, True]
+    requests = cts8[:6]
+    config = ServeConfig(
+        engines=1, max_batch=4, queue_capacity=64, max_retries=2, seed=16
+    )
+
+    async def _run():
+        server = HmvpServer(
+            scheme128,
+            matrix8,
+            config,
+            fault_injectors=[FaultInjector(hang_script=script)],
+        )
+        await server.start()
+        futures = [await server.submit(ct) for ct in requests]
+        outcomes = list(await asyncio.gather(*futures))
+        await server.close()
+        return server.report(outcomes, wall_s=1.0)
+
+    served = asyncio.run(_run())
+    executor = ClusterExecutor(
+        scheme128,
+        matrix8,
+        config=ClusterConfig(nodes=1, replication=1, max_retries=2, seed=16),
+        fault_injectors=[FaultInjector(hang_script=script)],
+    )
+    for ct in requests:
+        executor.execute(ct)
+    sharded = executor.report()
+
+    assert sharded.shards_per_request == 1
+    assert [o.retries for o in served.outcomes] == [1, 2, 2, 0, 0, 0]
+    assert served.per_engine_busy_cycles == [sharded.per_node_busy_cycles[0]]
+    assert served.retries + served.degraded == sharded.shard_retries == 6
+    assert served.degraded == sharded.degraded_shards == 1
+    (degraded,) = [
+        o for o in served.outcomes if o.status is RequestStatus.DEGRADED
+    ]
+    assert degraded.request_id == 2
+    assert degraded.cycles == sharded.cpu_fallback_cycles > 0
 
 
 def test_empty_run_report():

@@ -1,7 +1,7 @@
 """Distributed-trace continuity: one request == one connected trace tree.
 
 The tentpole claim of the tracing layer is that a request keeps a single
-``trace_id`` across every hop — batch queue, executor thread pool, the
+``trace_id`` across every hop — serving queue, executor thread pool, the
 cluster scatter/failover/gather path, and each node's device runtime —
 so the Chrome export shows one connected tree per request with per-node
 ``pid`` lanes and flow links across reroutes.  These tests drive real
@@ -90,38 +90,36 @@ def test_current_context_restored_after_span(traced):
     assert obs.current_context() is None
 
 
-# -- batch queue --------------------------------------------------------------
-
-
-def test_make_jobs_tags_each_request_with_its_trace(traced, scheme128, rng):
-    """Each request's jobs carry that request's frozen context, so the
-    device-side attempt spans land in the right tree after the hop."""
-    from repro.core.batch import BatchedHmvp, EncodedMatrixCache
-
-    matrix = rng.integers(-8, 8, (4, 128))
-    engine = BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache())
-    ctxs = [traced.new_trace() for _ in range(3)]
-    jobs = engine.make_jobs([0, 1, 2], ctxs=ctxs)
-    assert len(jobs) == 3
-    assert [j.ctx.trace_id for j in jobs] == [c.trace_id for c in ctxs]
+# -- runtime ------------------------------------------------------------------
 
 
 def test_runtime_attempt_spans_join_the_job_trace(traced):
-    """A ctx-tagged job's attempt spans carry the trace id and the
-    runtime's pid lane — including the failed (hung) attempt."""
-    from repro.hw.runtime import FpgaRuntime
+    """An offload's attempt spans carry the ambient trace id and the
+    runtime's pid lane — including the failed (hung) attempt — and the
+    retry links back to the first attempt."""
+    from repro.hw.runtime import FpgaRuntime, offload
 
     faults = FaultInjector(hang_script=[True, False])
-    rt = FpgaRuntime(faults=faults, max_job_retries=2, lane=5)
+    rt = FpgaRuntime(faults=faults, lane=5)
     ctx = traced.new_trace()
-    job_id = rt.submit(4, ctx=ctx)
-    rt.poll(job_id)
-    attempts = [s for s in traced.spans if s.name == "hw.job.attempt"]
-    assert len(attempts) >= 2  # the hang and the successful retry
+    with obs.use_context(ctx):
+        offload(
+            [(rt, 0)],
+            rows=4,
+            cols=128,
+            ring_n=128,
+            tag=0,
+            max_retries=2,
+            deadline_ms=60_000.0,
+            clock_hz=rt.cfg.clock_hz,
+        )
+    attempts = [s for s in traced.spans if s.name == "hw.offload.attempt"]
+    assert len(attempts) == 2  # the hang and the successful retry
     assert {s.trace_id for s in attempts} == {ctx.trace_id}
     assert {s.pid for s in attempts} == {5}
     outcomes = [s.args.get("outcome") for s in attempts]
-    assert "done" in outcomes
+    assert outcomes == ["hang", "ok"]
+    assert attempts[1].links == (attempts[0].span_id,)
 
 
 # -- serving layer ------------------------------------------------------------
@@ -211,7 +209,7 @@ def test_cluster_hang_run_exports_connected_traces(traced, hang_cluster):
         )
 
     # the rerouted attempt links back to the original (hung) attempt
-    attempts = [s for s in traced.spans if s.name == "cluster.shard.attempt"]
+    attempts = [s for s in traced.spans if s.name == "hw.offload.attempt"]
     hung = [s for s in attempts if s.args.get("outcome") == "hang"]
     rerouted = [s for s in attempts if s.links]
     assert hung and rerouted
@@ -269,11 +267,11 @@ def test_degrade_span_links_to_original_attempt(traced, scheme128):
     executor.execute(executor.encrypt_vector(rng.integers(-100, 100, 128)))
     assert executor.report().degraded_shards == len(executor.plan.shards)
 
-    degrades = [s for s in traced.spans if s.name == "cluster.shard.degrade"]
+    degrades = [s for s in traced.spans if s.name == "hw.offload.degrade"]
     attempts = {
         s.span_id: s
         for s in traced.spans
-        if s.name == "cluster.shard.attempt"
+        if s.name == "hw.offload.attempt"
     }
     assert degrades
     for s in degrades:
