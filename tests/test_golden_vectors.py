@@ -272,7 +272,8 @@ def _build_netsim():
     return scheme, matrix, vectors
 
 
-def _run_netsim():
+def _replay_netsim(config, fault_injectors=None):
+    """The netsim inputs through the cluster shard grid on ``config``."""
     scheme, matrix, vectors = _build_netsim()
     plan = PartitionPlanner(COLS).plan_from_cuts(
         CLUSTER_ROWS, CLUSTER_COLS, CLUSTER_ROW_CUTS, CLUSTER_COL_CUTS
@@ -280,7 +281,20 @@ def _run_netsim():
     executor = ClusterExecutor(
         scheme,
         matrix,
-        config=ClusterConfig(
+        config=config,
+        plan=plan,
+        fault_injectors=fault_injectors,
+    )
+    cts = [executor.encrypt_vector(v) for v in vectors]
+    results = executor.execute_batch(cts)
+    report = executor.report()
+    net = report.network
+    return results, report, net
+
+
+def _run_netsim():
+    results, report, net = _replay_netsim(
+        ClusterConfig(
             nodes=4,
             replication=2,
             seed=0,
@@ -288,13 +302,8 @@ def _run_netsim():
             link_bandwidth=NETSIM_BANDWIDTH,
             link_latency=NETSIM_LATENCY,
             flit_bytes=NETSIM_FLIT_BYTES,
-        ),
-        plan=plan,
+        )
     )
-    cts = [executor.encrypt_vector(v) for v in vectors]
-    results = executor.execute_batch(cts)
-    report = executor.report()
-    net = report.network
     return {
         "result_ct_digests": [
             _limb_digests(r.packs[0].ct) for r in results
@@ -352,11 +361,72 @@ def _generate_netsim():
     }
 
 
+# ring-fabric golden run: the netsim inputs and shard grid over a 4-node
+# ring at default link parameters, with node 0's first job scripted to
+# hang.  The ring's cw/ccw channels take the bubble rule (two credits to
+# enter a channel) and the hang sends a failover resend over the fabric,
+# two paths the mesh run above never takes.
+NETSIM_RING_HANG_SCRIPT = (True,)
+
+
+def _run_netsim_ring():
+    from repro.hw.runtime import FaultInjector
+
+    injectors = [FaultInjector(hang_script=NETSIM_RING_HANG_SCRIPT)] + [
+        FaultInjector() for _ in range(3)
+    ]
+    results, report, net = _replay_netsim(
+        ClusterConfig(nodes=4, replication=2, seed=0, topology="ring"),
+        fault_injectors=injectors,
+    )
+    return {
+        "result_ct_digests": [
+            _limb_digests(r.packs[0].ct) for r in results
+        ],
+        "network_cycles": report.network_cycles,
+        "shard_retries": report.shard_retries,
+        "trace_sha256": net["trace_sha256"],
+        "events": net["events"],
+        "flits_injected": net["flits_injected"],
+        "flits_delivered": net["flits_delivered"],
+        "duplicates": net["duplicates"],
+        "blocked_attempts": net["blocked_attempts"],
+        "max_queue_depth": net["max_queue_depth"],
+        "phases": {
+            name: {"cycles": row["cycles"], "flits": row["flits"]}
+            for name, row in net["phases"].items()
+        },
+    }
+
+
+def _generate_netsim_ring():
+    return {
+        "description": (
+            "Pinned-seed ring-fabric golden run: the netsim section's "
+            "inputs and shard grid over a 4-node ring (default links: "
+            "64 B/cycle, latency 4, 64-byte flits, 4-flit buffers), "
+            "node 0's first job scripted to hang.  Freezes the bubble "
+            "rule on the ring channels and the failover phase: the "
+            "event-trace sha256, blocked attempts, the network-cycle "
+            "bill and per-phase flits and cycles."
+        ),
+        "params": {
+            "inputs": "netsim",
+            "nodes": 4,
+            "replication": 2,
+            "topology": "ring",
+            "hang_script": {"node": 0, "script": list(NETSIM_RING_HANG_SCRIPT)},
+        },
+        "run": _run_netsim_ring(),
+    }
+
+
 def _generate_all():
     payload = _generate()
     payload["cluster"] = _generate_cluster()
     payload["elastic"] = _generate_elastic()
     payload["netsim"] = _generate_netsim()
+    payload["netsim_ring"] = _generate_netsim_ring()
     return payload
 
 
@@ -556,6 +626,39 @@ def test_netsim_golden_bits_match_free_comm():
     results = executor.execute_batch(cts)
     digests = [_limb_digests(r.packs[0].ct) for r in results]
     assert digests == golden["result_ct_digests"]
+
+
+def test_netsim_ring_golden_replay_matches_trace_and_phases():
+    """The ring run replays event for event: trace sha256, blocked
+    attempts, the network-cycle bill and per-phase flits and cycles.
+    Drift here with the mesh section intact means the bubble rule or
+    the failover traffic moved."""
+    golden = _load()["netsim_ring"]["run"]
+    fresh = _run_netsim_ring()
+    assert fresh["trace_sha256"] == golden["trace_sha256"]
+    assert fresh == golden
+
+
+def test_netsim_ring_golden_takes_the_bubble_and_failover_paths():
+    """The frozen run covers what the mesh run cannot: a contended ring
+    whose scripted hang ships a failover resend, conserving every flit,
+    with the same result bits as the mesh section."""
+    golden = _load()
+    run = golden["netsim_ring"]["run"]
+    assert run["shard_retries"] == 1
+    assert run["phases"]["failover"]["flits"] > 0
+    assert run["blocked_attempts"] > 0
+    assert run["flits_injected"] == run["flits_delivered"] > 0
+    assert run["duplicates"] == 0
+    assert sum(p["flits"] for p in run["phases"].values()) == (
+        run["flits_injected"]
+    )
+    assert run["network_cycles"] == sum(
+        p["cycles"] for p in run["phases"].values()
+    )
+    assert run["result_ct_digests"] == golden["netsim"]["run"][
+        "result_ct_digests"
+    ]
 
 
 if __name__ == "__main__":
