@@ -251,7 +251,6 @@ class PartitionPlanner:
             raise PartitionError("ring degree must be positive")
         self.ring_n = ring_n
         self._pipeline = MacroPipeline(engine or EngineConfig())
-        self._cost_cache: Dict[Tuple[int, int], int] = {}
         #: interconnect pricing; None keeps the historical compute-only
         #: scoring (equivalent to passing ``comm_free=True`` everywhere)
         self.comm = comm
@@ -259,12 +258,7 @@ class PartitionPlanner:
 
     def shard_cost_cycles(self, rows: int, col_tiles: int = 1) -> int:
         """Simulated device cycles for one ``(rows, col_tiles)`` shard."""
-        key = (rows, col_tiles)
-        cached = self._cost_cache.get(key)
-        if cached is None:
-            cached = self._pipeline.simulate_hmvp(rows, col_tiles).total_cycles
-            self._cost_cache[key] = cached
-        return cached
+        return self._pipeline.total_cycles(rows, col_tiles)
 
     def plan_cost_cycles(self, plan: PartitionPlan) -> List[int]:
         """Per-shard cycle costs, in ``plan.shards`` order."""
@@ -420,7 +414,9 @@ class PartitionPlanner:
         recovers the historical compute-only search.  Ties prefer
         *fewer* shards — each extra shard adds merge traffic and (for
         row splits of a pack tile) central pack work the estimate does
-        not price.
+        not price — then the earlier grid in enumeration order.  Only
+        grids whose compute makespan alone can still beat the best total
+        are replayed through the network simulator.
         """
         if rows < 1 or cols < 1:
             raise PartitionError("matrix extents must be positive")
@@ -429,27 +425,40 @@ class PartitionPlanner:
         min_row_bands = -(-rows // self.ring_n)
         max_row_bands = min(rows, min_row_bands + self.MAX_EXTRA_ROW_SPLITS)
         col_tiles = -(-cols // self.ring_n)
-        best: Optional[Tuple[int, int, PartitionPlan]] = None
+        candidates: List[PartitionPlan] = []
         for row_bands in range(min_row_bands, max_row_bands + 1):
             for col_bands in range(1, col_tiles + 1):
                 tile_cuts = balanced_cuts(col_tiles, col_bands)
                 col_cuts = tuple(
                     min(cut * self.ring_n, cols) for cut in tile_cuts
                 )
-                candidate = PartitionPlan(
-                    rows=rows,
-                    cols=cols,
-                    ring_n=self.ring_n,
-                    row_cuts=balanced_cuts(rows, row_bands),
-                    col_cuts=col_cuts,
+                candidates.append(
+                    PartitionPlan(
+                        rows=rows,
+                        cols=cols,
+                        ring_n=self.ring_n,
+                        row_cuts=balanced_cuts(rows, row_bands),
+                        col_cuts=col_cuts,
+                    )
                 )
-                key = (
-                    self.estimate_total_cycles(
-                        candidate, nodes, comm_free=comm_free
-                    ),
-                    len(candidate.shards),
-                )
-                if best is None or key < (best[0], best[1]):
-                    best = (key[0], key[1], candidate)
+        # Communication is never negative, so a candidate's compute
+        # makespan bounds its total from below.  Replay candidates in
+        # ascending (makespan, shards, enumeration index) and stop once
+        # the next bound exceeds the best (total, shards, index): no
+        # later candidate can win, and ties resolve to the earliest
+        # enumerated grid, as a full scan would.
+        bounds = sorted(
+            (self.estimate_makespan(plan, nodes), len(plan.shards), index)
+            for index, plan in enumerate(candidates)
+        )
+        best: Optional[Tuple[int, int, int]] = None
+        for makespan, shards, index in bounds:
+            if best is not None and (makespan, shards, index) > best:
+                break
+            total = makespan
+            if not comm_free:
+                total += self.estimate_comm_cycles(candidates[index], nodes)
+            if best is None or (total, shards, index) < best:
+                best = (total, shards, index)
         assert best is not None  # search space is never empty
-        return best[2]
+        return candidates[best[2]]

@@ -91,7 +91,6 @@ from .topology import (
     ring_topology,
 )
 from .netsim import (
-    Flit,
     MessageRecord,
     NetworkSimulator,
     Router,
@@ -185,7 +184,6 @@ __all__ = [
     "ideal_topology",
     "mesh2d_topology",
     "ring_topology",
-    "Flit",
     "MessageRecord",
     "NetworkSimulator",
     "Router",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.metrics import REGISTRY as _METRICS
 from .arch import ChamConfig, EngineConfig
@@ -124,6 +124,21 @@ class MacroPipeline:
         self.pack_latency = engine.pack_interval + 4 * (
             engine.ntt_unit.n // (engine.ppu_lanes * engine.ntt_unit.n_bfu)
         )
+        self._total_cycles: Dict[Tuple[int, int], int] = {}
+
+    def total_cycles(self, rows: int, col_tiles: int = 1) -> int:
+        """Cycles of one ``(rows, col_tiles)`` job, simulated once per shape.
+
+        The simulation is a pure function of the engine and the shape,
+        so the runtime's pricing and execution and the partition
+        planner's shard costs all read this memo.
+        """
+        key = (rows, col_tiles)
+        cycles = self._total_cycles.get(key)
+        if cycles is None:
+            cycles = self.simulate_hmvp(rows, col_tiles).total_cycles
+            self._total_cycles[key] = cycles
+        return cycles
 
     def simulate_hmvp(
         self, rows: int, col_tiles: int = 1, trace: Optional[list] = None

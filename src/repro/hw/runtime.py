@@ -26,7 +26,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,7 +168,7 @@ class VirtualFpga:
         with this: it must match what :meth:`run_job` would charge, and
         it must not advance the fault injector's RNG stream.
         """
-        return self._pipeline.simulate_hmvp(rows, col_tiles).total_cycles
+        return self._pipeline.total_cycles(rows, col_tiles)
 
     def run_job(self, job: Job) -> int:
         """Execute a job; may hang (raises nothing — caller polls)."""
@@ -177,8 +177,7 @@ class VirtualFpga:
         if self.faults.hang():
             self.hung = True
             raise DeviceHangError("device hang during job execution")
-        stats = self._pipeline.simulate_hmvp(job.rows, job.col_tiles)
-        return stats.total_cycles
+        return self._pipeline.total_cycles(job.rows, job.col_tiles)
 
     def reset(self) -> bool:
         """Full device reset; returns True if the device came back."""
@@ -213,9 +212,11 @@ class FpgaRuntime:
         #: separate visually
         self.trace_lane = lane
         self._next_job = 0
+        #: submitted jobs still held; :func:`offload` drops each job it
+        #: submitted once it has read the outcome
         self.jobs: Dict[int, Job] = {}
-        self._completed: List[int] = []
         # health counters
+        self.jobs_completed = 0
         self.register_retries = 0
         self.hangs_detected = 0
         self.resets = 0
@@ -276,7 +277,7 @@ class FpgaRuntime:
             return job.state
         job.state = JobState.DONE
         self.busy_cycles += job.cycles
-        self._completed.append(job_id)
+        self.jobs_completed += 1
         return job.state
 
     def _watchdog_reset(self) -> bool:
@@ -291,11 +292,10 @@ class FpgaRuntime:
 
     def health(self) -> HealthReport:
         """The monitoring endpoint (temperature modeled from utilization)."""
-        completed = len(self._completed)
         # toy thermal model: idle 45C, + up to 30C with accumulated load
         temp = 45.0 + 30.0 * min(self.busy_cycles / 3e9, 1.0)
         report = HealthReport(
-            jobs_completed=completed,
+            jobs_completed=self.jobs_completed,
             jobs_failed=self.jobs_failed,
             register_retries=self.register_retries,
             hangs_detected=self.hangs_detected,
@@ -350,13 +350,14 @@ def offload(
     engine's runtime alone, the cluster a shard's replicas, primary
     first.  The list is walked ``max_retries + 1`` times.  Each attempt
     loads the job descriptor ``(rows << 16) | (tag & 0xFFFF)``, submits
-    the job and polls it once.  Before an attempt its cost is priced
-    with :meth:`FpgaRuntime.estimate_cycles` plus the transfer, which
-    draws nothing from the fault injector; the walk stops once the
-    simulated time of the failed attempts plus that estimate would pass
-    ``deadline_ms``.  The job then degrades: the CPU path computes the
-    same exact result, priced by :class:`~repro.hw.perf.CpuCostModel`,
-    so no job is ever dropped.
+    the job, polls it once and drops it from ``runtime.jobs``, so a
+    runtime holds no per-attempt history.  Before an attempt its cost
+    is priced with :meth:`FpgaRuntime.estimate_cycles` plus the
+    transfer, which draws nothing from the fault injector; the walk
+    stops once the simulated time of the failed attempts plus that
+    estimate would pass ``deadline_ms``.  The job then degrades: the
+    CPU path computes the same exact result, priced by
+    :class:`~repro.hw.perf.CpuCostModel`, so no job is ever dropped.
 
     Every attempt opens one ``hw.offload.attempt`` span on its
     runtime's trace lane; later attempts and the ``hw.offload.degrade``
@@ -392,16 +393,18 @@ def offload(
                     REGISTER_BASE + tag % 256, (rows << 16) | (tag & 0xFFFF)
                 )
                 job_id = runtime.submit(rows, col_tiles)
-                done = runtime.poll_once(job_id) is JobState.DONE
+                runtime.poll_once(job_id)
+                job: Optional[Job] = runtime.jobs.pop(job_id)
             except RegisterLoadError:
-                done = False
-            if not done:
+                job = None
+            if job is None or job.state is not JobState.DONE:
                 attempt_span.set(outcome="hang")
                 spent_ms += est_ms
                 continue
-            cycles = runtime.jobs[job_id].cycles
-            attempt_span.set(outcome="ok", cycles=cycles)
-            return OffloadOutcome(served_by=index, attempts=attempts, cycles=cycles)
+            attempt_span.set(outcome="ok", cycles=job.cycles)
+            return OffloadOutcome(
+                served_by=index, attempts=attempts, cycles=job.cycles
+            )
     with obs.span(
         "hw.offload.degrade",
         links=(first_sid,) if first_sid else None,

@@ -14,13 +14,21 @@ bit for bit, per RNS limb:
 * :func:`modmul_vec_split` — the split-operand modular product, the
   reference for :func:`repro.math.modular.modmul_vec`;
 * :func:`key_switch_raw_loop` — the per-digit / per-limb key-switch, the
-  reference for :func:`repro.he.keyswitch.key_switch_raw`.
+  reference for :func:`repro.he.keyswitch.key_switch_raw`;
+* :func:`plan_exhaustive` — the partition search scoring every candidate
+  grid's total, the reference for the bounded
+  :meth:`repro.cluster.PartitionPlanner.plan`.
 """
 
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.partition import (
+    PartitionPlan,
+    PartitionPlanner,
+    balanced_cuts,
+)
 from repro.core.hmvp import HmvpResult
 from repro.he.automorphism import apply_automorphism
 from repro.he.bfv import BfvScheme
@@ -170,3 +178,41 @@ def hmvp_oracle(
             lwes.append(row_lwe)
         packs.append(pack_lwes_recursive(lwes, scheme.galois_keys))
     return HmvpResult(packs=packs, rows=m, cols=n_cols)
+
+
+def plan_exhaustive(
+    planner: PartitionPlanner,
+    rows: int,
+    cols: int,
+    nodes: int = 1,
+    comm_free: bool = False,
+) -> PartitionPlan:
+    """Score every candidate grid's total; least ``(total, shards)`` wins,
+    the earliest enumerated grid on exact ties."""
+    min_row_bands = -(-rows // planner.ring_n)
+    max_row_bands = min(rows, min_row_bands + planner.MAX_EXTRA_ROW_SPLITS)
+    col_tiles = -(-cols // planner.ring_n)
+    best: Optional[Tuple[int, int, PartitionPlan]] = None
+    for row_bands in range(min_row_bands, max_row_bands + 1):
+        for col_bands in range(1, col_tiles + 1):
+            tile_cuts = balanced_cuts(col_tiles, col_bands)
+            col_cuts = tuple(
+                min(cut * planner.ring_n, cols) for cut in tile_cuts
+            )
+            candidate = PartitionPlan(
+                rows=rows,
+                cols=cols,
+                ring_n=planner.ring_n,
+                row_cuts=balanced_cuts(rows, row_bands),
+                col_cuts=col_cuts,
+            )
+            key = (
+                planner.estimate_total_cycles(
+                    candidate, nodes, comm_free=comm_free
+                ),
+                len(candidate.shards),
+            )
+            if best is None or key < (best[0], best[1]):
+                best = (key[0], key[1], candidate)
+    assert best is not None  # search space is never empty
+    return best[2]

@@ -238,3 +238,35 @@ def test_register_load_failure_is_a_failed_attempt():
     assert outcome.served_by == 1 and outcome.attempts == 2
     assert flaky.jobs == {} and flaky.register_retries == 2
     assert clean.device.registers[0x1007] == (16 << 16) | 7
+
+
+def test_offloads_of_one_shape_simulate_the_pipeline_once(monkeypatch):
+    """Pricing an attempt and running it read one per-shape memo, so ten
+    offloads of one shape simulate the macro-pipeline once."""
+    from repro.hw.pipeline import MacroPipeline
+
+    calls = []
+    simulate = MacroPipeline.simulate_hmvp
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(MacroPipeline, "simulate_hmvp", counting)
+    rt = FpgaRuntime()
+    for tag in range(10):
+        assert _offload([rt], max_retries=0, rows=24, tag=tag).served_by == 0
+    assert len(calls) == 1
+
+
+def test_offload_leaves_no_job_behind():
+    """A runtime keeps no per-attempt history: offload drops every job
+    it submitted, served or hung, and the health counters still add up."""
+    rt = FpgaRuntime(faults=FaultInjector(hang_prob=0.2, seed=5))
+    outcomes = [
+        _offload([rt], max_retries=3, rows=8, tag=i) for i in range(50)
+    ]
+    assert len(rt.jobs) == 0
+    report = rt.health()
+    assert report.jobs_completed == sum(o.served_by == 0 for o in outcomes)
+    assert report.jobs_failed == sum(o.failed_attempts for o in outcomes) > 0

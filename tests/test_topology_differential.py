@@ -211,3 +211,57 @@ def test_planner_prices_communication(scheme128):
     ideal = PartitionPlanner(ring_n, comm=CommSpec(kind="ideal"))
     assert ideal.plan(rows, cols, nodes=nodes).to_dict() == \
         free_plan.to_dict()
+
+
+#: the fabrics the planner prices: none, every builder at default links,
+#: and the starved ring of the regression above
+PLANNER_COMMS = {
+    "none": None,
+    "ideal": CommSpec(kind="ideal"),
+    "ring": CommSpec(kind="ring"),
+    "mesh": CommSpec(kind="mesh"),
+    "fat-tree": CommSpec(kind="fat-tree"),
+    "starved-ring": CommSpec(kind="ring", bandwidth=1, latency=8, ct_limbs=6),
+}
+#: (rows, cols) at ring degree 128: the starved-ring flip, a skinny
+#: three-tile matrix and a one-tile one (18, 9 and 9 candidate grids)
+PLANNER_SHAPES = [(13, 256), (3, 384), (9, 128)]
+
+
+@pytest.mark.parametrize("fabric", sorted(PLANNER_COMMS))
+def test_bounded_planner_returns_the_exhaustive_plan(fabric):
+    """Replaying only the grids whose compute makespan can still win
+    picks the plan scoring every grid picks, ties included.  The oracle
+    shares the planner's replay cache (a pure function of grid and node
+    count), so each grid is replayed once."""
+    from tests.oracles import plan_exhaustive
+
+    comm = PLANNER_COMMS[fabric]
+    planner = PartitionPlanner(128, comm=comm)
+    for rows, cols in PLANNER_SHAPES:
+        for nodes in (1, 2, 3, 4):
+            for comm_free in (False, True):
+                replayed = len(planner._comm_cache)
+                got = planner.plan(rows, cols, nodes=nodes, comm_free=comm_free)
+                if comm_free or comm is None:
+                    assert len(planner._comm_cache) == replayed
+                want = plan_exhaustive(
+                    planner, rows, cols, nodes=nodes, comm_free=comm_free
+                )
+                assert got.to_dict() == want.to_dict(), (
+                    rows, cols, nodes, comm_free
+                )
+
+
+def test_planner_replays_one_grid_on_the_benchmark_shape():
+    """96x256 on four ring nodes has 18 candidate grids; the winner's
+    total is below every other grid's compute makespan, so it is the
+    only one replayed through the network simulator."""
+    from tests.oracles import plan_exhaustive
+
+    planner = PartitionPlanner(128, comm=CommSpec(kind="ring"))
+    plan = planner.plan(96, 256, nodes=4)
+    assert len(planner._comm_cache) == 1
+    oracle = PartitionPlanner(128, comm=CommSpec(kind="ring"))
+    assert plan.to_dict() == plan_exhaustive(oracle, 96, 256, nodes=4).to_dict()
+    assert len(oracle._comm_cache) == 18
