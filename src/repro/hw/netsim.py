@@ -115,10 +115,6 @@ class SimulatorEngine:
     def events_handled(self) -> int:
         return self._events_handled
 
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
-
     def schedule(self, time: int, event: Tuple[object, ...]) -> None:
         if time < self._now:
             raise ValueError(

@@ -393,18 +393,16 @@ def offload(
                     REGISTER_BASE + tag % 256, (rows << 16) | (tag & 0xFFFF)
                 )
                 job_id = runtime.submit(rows, col_tiles)
-                runtime.poll_once(job_id)
-                job: Optional[Job] = runtime.jobs.pop(job_id)
+                done = runtime.poll_once(job_id) is JobState.DONE
+                cycles = runtime.jobs.pop(job_id).cycles
             except RegisterLoadError:
-                job = None
-            if job is None or job.state is not JobState.DONE:
+                done = False
+            if not done:
                 attempt_span.set(outcome="hang")
                 spent_ms += est_ms
                 continue
-            attempt_span.set(outcome="ok", cycles=job.cycles)
-            return OffloadOutcome(
-                served_by=index, attempts=attempts, cycles=job.cycles
-            )
+            attempt_span.set(outcome="ok", cycles=cycles)
+            return OffloadOutcome(served_by=index, attempts=attempts, cycles=cycles)
     with obs.span(
         "hw.offload.degrade",
         links=(first_sid,) if first_sid else None,
