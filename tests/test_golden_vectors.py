@@ -31,6 +31,7 @@ from repro.core.batch import BatchedHmvp
 from repro.he.bfv import BfvScheme
 from repro.he.params import toy_params
 from repro.he.serialization import pack_limbs
+from repro.hw.runtime import FaultInjector
 
 VECTOR_FILE = Path(__file__).parent / "vectors" / "hmvp_golden.json"
 
@@ -370,8 +371,6 @@ NETSIM_RING_HANG_SCRIPT = (True,)
 
 
 def _run_netsim_ring():
-    from repro.hw.runtime import FaultInjector
-
     injectors = [FaultInjector(hang_script=NETSIM_RING_HANG_SCRIPT)] + [
         FaultInjector() for _ in range(3)
     ]
