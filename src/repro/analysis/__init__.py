@@ -64,7 +64,7 @@ REPRO211  unguarded-shared-write    attributes of lock-owning classes
 Suppress a finding in place with ``# repro: noqa RULE-ID`` plus a
 justification comment.  CLI: ``python -m repro lint [--json] [--ci]
 [--rule ID] [--diff BASE] [--sarif FILE] [paths]``.  See
-``docs/ARCHITECTURE.md`` sections 8 and 13 for the full catalog and
+``docs/ARCHITECTURE.md`` sections 8 and 12 for the full catalog and
 policy.
 """
 

@@ -3,10 +3,10 @@
 The serving stack now holds real locks across real thread pools: the
 batched engine fans row tiles out over a ``ThreadPoolExecutor`` while
 every worker funnels through :class:`EncodedMatrixCache`'s lock, the
-tracer and metrics registry serialize appends from all of them, and the
-cluster layer migrates cache entries between nodes.  Nothing checked
-that those locks are acquired in a consistent order, or that the
-attributes they exist to protect are only written with the lock held.
+tracer and metrics registry serialize appends from all of them, and
+every cluster node owns one such cache.  Nothing checked that those
+locks are acquired in a consistent order, or that the attributes they
+exist to protect are only written with the lock held.
 This module builds both facts from the ASTs:
 
 * a **lock table** — ``self._lock = threading.Lock()`` in class bodies

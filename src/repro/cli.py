@@ -23,9 +23,9 @@ Gives a downstream user the zero-code tour:
     (multi-engine dispatch, deadlines, retry, CPU degrade) and print
     per-status counts, latency percentiles and goodput;
 ``cluster``
-    run sharded HMVP across simulated nodes (failover, elastic
-    membership, and with ``--topology`` a contended interconnect whose
-    per-phase and per-link traffic it prints);
+    run sharded HMVP across simulated nodes (failover, and with
+    ``--topology`` a contended interconnect whose per-phase and
+    per-link traffic it prints);
 ``lint``
     run the HE-aware static-analysis rules (``repro.analysis``) over
     ``src/repro`` or the given paths; ``--ci`` additionally runs ruff
@@ -331,7 +331,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     single-engine path, so correctness here is unconditional.
     """
     from repro import obs
-    from repro.cluster import ClusterConfig, ClusterExecutor, MembershipSchedule
+    from repro.cluster import ClusterConfig, ClusterExecutor
     from repro.he.bfv import BfvScheme
     from repro.he.params import toy_params
 
@@ -353,18 +353,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         link_latency=getattr(args, "latency", 4),
         flit_bytes=getattr(args, "flit_bytes", 64),
     )
-    schedule = None
-    if args.elastic or args.schedule:
-        schedule = (
-            MembershipSchedule.parse(args.schedule)
-            if args.schedule
-            else MembershipSchedule.random(
-                seed=args.seed, requests=args.requests,
-                initial_nodes=args.nodes,
-            )
-        )
-    executor = ClusterExecutor(scheme, matrix, config=config,
-                               schedule=schedule)
+    executor = ClusterExecutor(scheme, matrix, config=config)
     vectors = [rng.integers(-40, 40, cols) for _ in range(args.requests)]
     requests = [executor.encrypt_vector(v) for v in vectors]
     results = executor.execute_batch(requests)
@@ -415,15 +404,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         f"{report.speedup_vs_single_node:.2f}x vs one node, per-node busy "
         f"{report.per_node_busy_cycles}"
     )
-    if schedule is not None:
-        m = report.membership
-        print(
-            f"elastic: schedule [{schedule.to_spec()}] -> "
-            f"{m['joins']} join(s) {m['leaves']} leave(s) "
-            f"{m['kills']} kill(s), {m['migrated_entries']} cache "
-            f"entr(ies) migrated, {m['reencodes']} re-encode(s), "
-            f"{m['replica_promotions']} promotion(s)"
-        )
     if report.network:
         n = report.network
         print(
@@ -713,18 +693,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--max-retries", type=int, default=1,
                          help="extra passes over a shard's replica list")
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--elastic", action="store_true",
-                         help="enable elastic membership; without "
-                              "--schedule, a seeded random schedule is "
-                              "generated from --seed")
-    cluster.add_argument("--schedule", type=str, default=None,
-                         help="membership schedule 'seq:kind[:node],...' "
-                              "e.g. '4:kill:3,4:kill:2,8:join,8:join' "
-                              "(kinds: join/leave/kill; implies --elastic)")
     cluster.add_argument("--topology", type=str, default=None,
                          choices=["ideal", "ring", "mesh", "fat-tree"],
                          help="attach the interconnect simulator and "
-                              "charge scatter/gather/migration traffic "
+                              "charge scatter/failover/gather traffic "
                               "(default: free comm)")
     cluster.add_argument("--bandwidth", type=int, default=64,
                          help="link bandwidth in bytes/cycle")

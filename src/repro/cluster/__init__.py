@@ -10,30 +10,17 @@ into a result **bit-identical** to the unsharded engine's — the merge is
 exact modular addition of column-shard LWE stacks plus row-order
 concatenation through the same central pack.
 
-Membership is elastic (:mod:`repro.cluster.membership`): seeded
-join/leave/kill schedules and an autoscaler policy
-(:mod:`repro.cluster.autoscaler`) morph the node set between requests —
-the shard grid stays fixed, only the affected shards' encoded-matrix
-cache entries migrate, and the output stays bit-identical per RNS limb
-under any scale schedule (the chaos/property battery in
-``tests/test_cluster_elastic.py`` / ``tests/test_cluster_chaos.py``
-pins exactly that).
+The node set is fixed for an executor's lifetime: nodes ``0..K-1``
+host every shard's replicas from construction on, and a node hang is
+absorbed by failover to a replica, never by changing the node set.
 
-Entry points: ``repro cluster`` (``--elastic --schedule``) on the CLI,
-``benchmarks/bench_cluster.py`` / ``benchmarks/bench_elastic.py`` for
-the scale-out numbers, and ``docs/ARCHITECTURE.md`` sections 9 and 12
-for the partitioning and migration algebra.
+Entry points: ``repro cluster`` on the CLI, ``benchmarks/bench_cluster.py``
+for the scale-out numbers, and ``docs/ARCHITECTURE.md`` sections 9 and 13
+for the partitioning algebra and the interconnect.
 """
 
-from .autoscaler import Autoscaler, AutoscalerConfig
 from .executor import ClusterConfig, ClusterExecutor, ClusterReport, ShardOutcome
 from .interconnect import ClusterInterconnect
-from .membership import (
-    ClusterController,
-    MembershipError,
-    MembershipEvent,
-    MembershipSchedule,
-)
 from .partition import (
     CommSpec,
     PartitionError,
@@ -42,7 +29,7 @@ from .partition import (
     Shard,
     balanced_cuts,
 )
-from .placement import ClusterNode, ShardPlacement, build_nodes, make_cluster_node
+from .placement import ClusterNode, ShardPlacement, build_nodes
 
 __all__ = [
     "CommSpec",
@@ -55,15 +42,8 @@ __all__ = [
     "ClusterNode",
     "ShardPlacement",
     "build_nodes",
-    "make_cluster_node",
     "ClusterConfig",
     "ClusterExecutor",
     "ClusterReport",
     "ShardOutcome",
-    "MembershipError",
-    "MembershipEvent",
-    "MembershipSchedule",
-    "ClusterController",
-    "Autoscaler",
-    "AutoscalerConfig",
 ]

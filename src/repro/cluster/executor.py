@@ -45,9 +45,7 @@ from ..hw.arch import ChamConfig, cham_default_config
 from ..hw.runtime import FaultInjector, offload
 from ..hw.topology import COORDINATOR
 from ..math.modular import modadd_vec
-from .autoscaler import Autoscaler
 from .interconnect import ClusterInterconnect
-from .membership import ClusterController, MembershipSchedule
 from .partition import (
     CommSpec,
     PartitionError,
@@ -67,6 +65,8 @@ __all__ = [
 #: per-request failover budget in *simulated* milliseconds when
 #: ``execute`` is given none
 DEADLINE_MS = 60_000.0
+#: input-buffer depth per fabric link (credit count)
+NET_BUFFER_FLITS = 4
 
 
 @dataclass
@@ -84,9 +84,6 @@ class ClusterConfig:
     fault_rate: float = 0.0
     register_flip_rate: float = 0.0
     seed: int = 0
-    #: rows per output pack of the gathered result; defaults to the ring
-    #: degree (the unsharded engine's tile structure)
-    tile_rows: Optional[int] = None
     #: interconnect model: ``None`` keeps the historical free-comm
     #: behavior (no simulator attached at all); ``"ideal"`` attaches the
     #: zero-cost fabric (flits counted, zero cycles — bit-identical
@@ -99,8 +96,6 @@ class ClusterConfig:
     link_latency: int = 4
     #: wire flit size; payloads round up to whole flits
     flit_bytes: int = 64
-    #: input-buffer depth per link (credit count), >= 2
-    net_buffer_flits: int = 4
 
 
 @dataclass
@@ -123,7 +118,6 @@ class ClusterReport:
     requests: int
     rows: int
     cols: int
-    #: currently active node count (the initial count pre-elastic)
     nodes: int
     replication: int
     shards_per_request: int
@@ -131,16 +125,12 @@ class ClusterReport:
     shard_retries: int
     rebalance_events: int
     degraded_shards: int
-    #: busy cycles per node id — active nodes plus every departed one
-    #: (work a node did before leaving/dying still bounds the makespan)
     per_node_busy_cycles: Dict[int, int]
     cpu_fallback_cycles: int
     clock_hz: float
     estimated_single_node_cycles: int
     plan: Dict[str, object] = field(default_factory=dict)
     placement: Dict[str, object] = field(default_factory=dict)
-    #: membership counters (zeros on a static, schedule-free run)
-    membership: Dict[str, object] = field(default_factory=dict)
     #: cycles the coordinator spent blocked on ciphertext movement
     #: (0 with no interconnect attached, and on the ideal fabric)
     network_cycles: int = 0
@@ -212,7 +202,6 @@ class ClusterReport:
             "speedup_vs_single_node": self.speedup_vs_single_node,
             "plan": self.plan,
             "placement": self.placement,
-            "membership": self.membership,
             "network": self.network,
         }
 
@@ -238,14 +227,10 @@ class ClusterExecutor:
     fault_injectors:
         One per node, overriding the rate-derived defaults (scripted
         hang sequences for deterministic failover tests).
-    schedule / autoscaler:
-        Elastic membership inputs (:mod:`repro.cluster.membership` /
-        :mod:`repro.cluster.autoscaler`).  A schedule's join/leave/kill
-        events are consumed *between* requests, indexed by request
-        sequence number; the autoscaler turns queue-depth observations
-        into extra events.  Either one attaches a
-        :class:`ClusterController`; with neither, behavior is exactly
-        the static PR-5 cluster.
+
+    The node set is ``0..nodes-1`` for the executor's lifetime, and the
+    gathered result packs in ring-degree row tiles, the unsharded
+    engine's tile structure.
     """
 
     def __init__(
@@ -257,8 +242,6 @@ class ClusterExecutor:
         placement: Optional[ShardPlacement] = None,
         cham: Optional[ChamConfig] = None,
         fault_injectors: Optional[Sequence[FaultInjector]] = None,
-        schedule: Optional[MembershipSchedule] = None,
-        autoscaler: Optional[Autoscaler] = None,
     ) -> None:
         self.scheme = scheme
         self.config = config or ClusterConfig()
@@ -279,7 +262,7 @@ class ClusterExecutor:
                 bandwidth=self.config.link_bandwidth,
                 latency=self.config.link_latency,
                 flit_bytes=self.config.flit_bytes,
-                buffer_flits=self.config.net_buffer_flits,
+                buffer_flits=NET_BUFFER_FLITS,
                 ct_limbs=limbs,
             )
         self.planner = PartitionPlanner(
@@ -331,7 +314,7 @@ class ClusterExecutor:
                 bandwidth=self.config.link_bandwidth,
                 latency=self.config.link_latency,
                 flit_bytes=self.config.flit_bytes,
-                buffer_flits=self.config.net_buffer_flits,
+                buffer_flits=NET_BUFFER_FLITS,
             )
         #: exact gather payload per shard: the partial is one (L, rows)
         #: b plus one (L, rows, n) a, both uint64
@@ -341,21 +324,6 @@ class ClusterExecutor:
         #: per-request hoisted-tile bytes by shard (set at scatter time)
         self._current_scatter_bytes: Dict[int, int] = {}
         self._single_node_cycles_per_request = sum(costs)
-        #: shard_id -> cycle cost (the membership layer balances by these)
-        self.shard_costs: Dict[int, int] = self.planner.cost_by_shard(plan)
-        #: busy-cycle ledger of nodes that left or died (node_id -> cycles)
-        self.departed_busy_cycles: Dict[int, int] = {}
-        self.controller: Optional[ClusterController] = None
-        if schedule is not None or autoscaler is not None:
-            self.controller = ClusterController(
-                self, schedule=schedule, autoscaler=autoscaler
-            )
-        tile_rows = self.config.tile_rows or ring
-        if not 1 <= tile_rows <= ring:
-            raise PartitionError(
-                f"tile_rows {tile_rows} must be in 1..ring degree {ring}"
-            )
-        self._pack_tile_rows = tile_rows
         # lifetime counters (report() snapshots these)
         self.requests_served = 0
         self.shard_executions = 0
@@ -547,22 +515,6 @@ class ClusterExecutor:
                 "cluster.net.total_cycles", self.interconnect.total_cycles
             )
 
-    def _net_set_nodes(self) -> None:
-        """Rewire the fabric after membership churn (controller hook)."""
-        if self.interconnect is not None:
-            self.interconnect.set_nodes(sorted(self.nodes))
-
-    def _net_transfer(
-        self, src: Optional[int], dst: int, nbytes: int, tag: str = ""
-    ) -> None:
-        """Charge replica-sync migration traffic (controller hook)."""
-        if self.interconnect is None or src is None:
-            return
-        cycles = self.interconnect.transfer(
-            src, dst, nbytes, phase="replica_sync", tag=tag
-        )
-        obs.inc("cluster.net.cycles", cycles)
-
     # -- the exact data path ----------------------------------------------
 
     def _gather(
@@ -571,43 +523,31 @@ class ClusterExecutor:
     ) -> HmvpResult:
         """Merge shard partials exactly and pack centrally.
 
-        Column shards of one row band merge with per-limb modular
-        addition; row bands concatenate in row order.  Both are exact,
+        Column shards of one row band merge with modular addition, one
+        call per component with the ciphertext basis broadcast over the
+        limb axis; row bands concatenate in row order.  Both are exact,
         so the packed output is bit-identical to the unsharded path.
         """
         ctx = self.scheme.ctx
         ct_basis = ctx.ct_basis
+        ring = self.plan.ring_n
+        q_col = ct_basis.modulus_column
         band_b: List[np.ndarray] = []
         band_a: List[np.ndarray] = []
         for rb in range(self.plan.row_bands):
-            acc_b: Optional[np.ndarray] = None
-            acc_a: Optional[np.ndarray] = None
-            for cb in range(self.plan.col_bands):
-                shard = self.plan.shard_at(rb, cb)
-                b, a = partials[shard.shard_id]
-                if acc_b is None:
-                    acc_b, acc_a = b, a
-                else:
-                    acc_b = np.stack(
-                        [
-                            modadd_vec(acc_b[i], b[i], q)
-                            for i, q in enumerate(ct_basis)
-                        ]
-                    )
-                    acc_a = np.stack(
-                        [
-                            modadd_vec(acc_a[i], a[i], q)
-                            for i, q in enumerate(ct_basis)
-                        ]
-                    )
+            acc_b, acc_a = partials[self.plan.shard_at(rb, 0).shard_id]
+            for cb in range(1, self.plan.col_bands):
+                b, a = partials[self.plan.shard_at(rb, cb).shard_id]
+                acc_b = modadd_vec(acc_b, b, q_col.reshape(-1, 1))
+                acc_a = modadd_vec(acc_a, a, q_col.reshape(-1, 1, 1))
             band_b.append(acc_b)
             band_a.append(acc_a)
         full_b = np.concatenate(band_b, axis=1)
         full_a = np.concatenate(band_a, axis=1)
         packs = []
         with obs.span("cluster.gather", rows=self.rows):
-            for start in range(0, self.rows, self._pack_tile_rows):
-                stop = min(start + self._pack_tile_rows, self.rows)
+            for start in range(0, self.rows, ring):
+                stop = min(start + ring, self.rows)
                 packs.append(
                     pack_stacked_lwes(
                         ctx,
@@ -622,11 +562,7 @@ class ClusterExecutor:
             rows=self.rows,
             cols=self.cols,
             ops=HmvpOpCount.for_request(
-                self.rows,
-                self.cols,
-                self.plan.ring_n,
-                self._pack_tile_rows,
-                len(ct_basis),
+                self.rows, self.cols, ring, ring, len(ct_basis)
             ),
         )
 
@@ -642,10 +578,6 @@ class ClusterExecutor:
         """
         ct_tiles = self._normalize(request)
         budget_ms = deadline_ms if deadline_ms is not None else DEADLINE_MS
-        # membership events indexed by this request's sequence number fire
-        # before it is served; placement is re-validated after every event
-        if self.controller is not None:
-            self.controller.advance(self.requests_served)
         obs.inc("cluster.requests")
         if obs.TRACER.enabled and not self._lanes_named:
             obs.TRACER.name_process(0, "cluster.coordinator")
@@ -706,28 +638,12 @@ class ClusterExecutor:
         requests: Sequence[Union[RlweCiphertext, Sequence[RlweCiphertext]]],
         deadline_ms: Optional[float] = None,
     ) -> List[HmvpResult]:
-        """Serve a request list; every request reaches a terminal result.
-
-        The remaining backlog feeds the ``cluster.queue.depth`` gauge and
-        (when an autoscaler is attached) one observation per request —
-        sustained backlog scales the pool up, sustained idle scales it
-        down, all as deterministic membership events.
-        """
-        results = []
-        for i, req in enumerate(requests):
-            backlog = len(requests) - i - 1
-            obs.set_gauge("cluster.queue.depth", backlog)
-            if self.controller is not None:
-                self.controller.maybe_autoscale(self.requests_served, backlog)
-            results.append(self.execute(req, deadline_ms=deadline_ms))
-        return results
+        """Serve a request list; every request reaches a terminal result."""
+        return [self.execute(req, deadline_ms=deadline_ms) for req in requests]
 
     # -- reporting ---------------------------------------------------------
 
     def report(self) -> ClusterReport:
-        busy = dict(self.departed_busy_cycles)
-        for nid, node in self.nodes.items():
-            busy[nid] = busy.get(nid, 0) + node.busy_cycles
         return ClusterReport(
             requests=self.requests_served,
             rows=self.rows,
@@ -739,7 +655,9 @@ class ClusterExecutor:
             shard_retries=self.shard_retries,
             rebalance_events=self.rebalance_events,
             degraded_shards=self.degraded_shards,
-            per_node_busy_cycles=busy,
+            per_node_busy_cycles={
+                nid: node.busy_cycles for nid, node in self.nodes.items()
+            },
             cpu_fallback_cycles=self.cpu_fallback_cycles,
             clock_hz=self.cham.clock_hz,
             estimated_single_node_cycles=(
@@ -747,11 +665,6 @@ class ClusterExecutor:
             ),
             plan=self.plan.to_dict(),
             placement=self.placement.to_dict(),
-            membership=(
-                self.controller.to_dict()
-                if self.controller is not None
-                else {}
-            ),
             network_cycles=(
                 self.interconnect.total_cycles
                 if self.interconnect is not None

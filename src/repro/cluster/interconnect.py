@@ -3,16 +3,12 @@
 :class:`ClusterInterconnect` is the thin stateful bridge between
 :class:`repro.cluster.executor.ClusterExecutor` and the discrete-event
 fabric in :mod:`repro.hw.netsim`.  The executor stays the source of
-truth for *what* moves (hoisted scatter tiles, gathered LWE partials,
-migrated cache entries) and sizes each payload from the actual ndarray
+truth for *what* moves (hoisted scatter tiles, failover resends,
+gathered LWE partials) and sizes each payload from the actual ndarray
 byte counts; this class turns those bytes into flits on a concrete
-:class:`~repro.hw.topology.Topology` and keeps the cycle ledger.
-
-Elastic membership rebuilds the fabric: when nodes join or leave, the
-old simulator's statistics are folded into a cumulative ledger and a
-fresh topology is wired over the surviving id set (an *epoch*).  All
-reported totals therefore span the executor's whole lifetime even
-though the wiring changed underneath.
+:class:`~repro.hw.topology.Topology` and keeps the cycle ledger.  An
+executor wires one fabric over its fixed node set and keeps it for its
+lifetime, so every reported total is that one simulator's.
 
 The ``ideal`` fabric keeps every drain at zero cycles, which is how the
 property suite pins that attaching a network simulator — without
@@ -21,18 +17,18 @@ bandwidth limits — reproduces the free-comm executor bit-exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable
 
 from ..hw.netsim import NetworkSimulator
-from ..hw.topology import COORDINATOR, Topology, build_topology
+from ..hw.topology import COORDINATOR, build_topology
 
 __all__ = ["COORDINATOR", "ClusterInterconnect"]
 
-_PHASES = ("scatter", "failover", "gather", "replica_sync")
+_PHASES = ("scatter", "failover", "gather")
 
 
 class ClusterInterconnect:
-    """Lifetime network-cycle ledger over rebuildable topology epochs."""
+    """Lifetime network-cycle ledger over one fabric."""
 
     def __init__(
         self,
@@ -44,120 +40,24 @@ class ClusterInterconnect:
         buffer_flits: int = 4,
         arity: int = 2,
     ) -> None:
-        self.kind = kind
         self.bandwidth = int(bandwidth)
         self.latency = int(latency)
         self.flit_bytes = int(flit_bytes)
         self.buffer_flits = int(buffer_flits)
-        self.arity = int(arity)
-        self.epochs = 0
         self.phase_cycles: Dict[str, int] = {p: 0 for p in _PHASES}
         self.total_cycles = 0
-        self._folded: Dict[str, int] = {
-            "cycles": 0,
-            "events": 0,
-            "messages": 0,
-            "flits_injected": 0,
-            "flits_delivered": 0,
-            "duplicates": 0,
-            "blocked_attempts": 0,
-            "max_queue_depth": 0,
-            "max_inject_depth": 0,
-        }
-        self._folded_links: Dict[str, Dict[str, int]] = {}
-        self._folded_phases: Dict[str, Dict[str, int]] = {}
-        self.topology: Topology
-        self.sim: NetworkSimulator
-        self._build(node_ids)
-
-    # ------------------------------------------------------------------
-    # epochs
-    # ------------------------------------------------------------------
-    def _build(self, node_ids: Iterable[int]) -> None:
         self.topology = build_topology(
-            self.kind,
+            kind,
             sorted(node_ids),
             bandwidth=self.bandwidth,
             latency=self.latency,
-            arity=self.arity,
+            arity=int(arity),
         )
         self.sim = NetworkSimulator(
             self.topology,
             flit_bytes=self.flit_bytes,
             buffer_flits=self.buffer_flits,
         )
-        self.epochs += 1
-
-    @property
-    def node_ids(self) -> Tuple[int, ...]:
-        return self.topology.node_ids
-
-    def set_nodes(self, node_ids: Iterable[int]) -> None:
-        """Rewire the fabric over a churned node id set (new epoch)."""
-        ids = tuple(sorted(node_ids))
-        if ids == self.node_ids:
-            return
-        self._fold()
-        self._build(ids)
-
-    def _scalars(self) -> Dict[str, int]:
-        """Current epoch's scalar counters, same keys as the fold ledger."""
-        sim = self.sim
-        return {
-            "cycles": sim.engine.now,
-            "events": sim.engine.events_handled,
-            "messages": len(sim.messages),
-            "flits_injected": sim.flits_injected,
-            "flits_delivered": sim.flits_delivered,
-            "duplicates": sim.duplicates,
-            "blocked_attempts": sim.blocked_attempts,
-            "max_queue_depth": sim.max_queue_depth,
-            "max_inject_depth": sim.max_inject_depth,
-        }
-
-    def _fold(self) -> None:
-        """Absorb the retiring simulator's stats into the lifetime ledger."""
-        scalars = self._scalars()
-        f = self._folded
-        for key in (
-            "cycles",
-            "events",
-            "messages",
-            "flits_injected",
-            "flits_delivered",
-            "duplicates",
-            "blocked_attempts",
-        ):
-            f[key] += scalars[key]
-        for key in ("max_queue_depth", "max_inject_depth"):
-            f[key] = max(f[key], scalars[key])
-        for name, row in self.sim.link_stats_raw().items():
-            acc = self._folded_links.setdefault(
-                name,
-                {
-                    "flits": 0,
-                    "nbytes": 0,
-                    "busy_cycles": 0,
-                    "blocked": 0,
-                    "max_depth": 0,
-                },
-            )
-            for k in ("flits", "nbytes", "busy_cycles", "blocked"):
-                acc[k] += row[k]
-            acc["max_depth"] = max(acc["max_depth"], row["max_depth"])
-        for name, row in self.sim.phase_stats().items():
-            acc = self._folded_phases.setdefault(
-                name,
-                {
-                    "cycles": 0,
-                    "flits": 0,
-                    "messages": 0,
-                    "nbytes": 0,
-                    "drains": 0,
-                },
-            )
-            for k in acc:
-                acc[k] += row.get(k, 0)
 
     # ------------------------------------------------------------------
     # traffic
@@ -174,17 +74,6 @@ class ClusterInterconnect:
         self.phase_cycles[phase] = self.phase_cycles.get(phase, 0) + cycles
         self.total_cycles += cycles
         return cycles
-
-    def transfer(
-        self, src: int, dst: int, nbytes: int, phase: str = "replica_sync",
-        tag: str = "",
-    ) -> int:
-        """One immediate point-to-point message (migration traffic)."""
-        if src == dst or nbytes <= 0:
-            return 0
-        self.begin_phase(phase)
-        self.inject(src, dst, nbytes, tag=tag)
-        return self.drain(phase)
 
     def estimate_transfer_cycles(self, src: int, dst: int, nbytes: int) -> int:
         """Contention-free lower bound for one message (deadline math).
@@ -207,53 +96,10 @@ class ClusterInterconnect:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def trace_digest(self) -> str:
-        """Digest of the current epoch's event trace."""
-        return self.sim.trace_digest()
-
     def network_block(self) -> Dict[str, object]:
         """Lifetime network stats for the ``ClusterReport``."""
-        current = self._scalars()
-        f = self._folded
-        merged: Dict[str, Dict[str, int]] = {
-            name: dict(row) for name, row in self._folded_links.items()
-        }
-        for name, row in self.sim.link_stats_raw().items():
-            acc = merged.setdefault(
-                name,
-                {
-                    "flits": 0,
-                    "nbytes": 0,
-                    "busy_cycles": 0,
-                    "blocked": 0,
-                    "max_depth": 0,
-                },
-            )
-            for k in ("flits", "nbytes", "busy_cycles", "blocked"):
-                acc[k] += row[k]
-            acc["max_depth"] = max(acc["max_depth"], row["max_depth"])
-        total_cycles = f["cycles"] + current["cycles"]
-        horizon = max(1, total_cycles)
-        links: Dict[str, Dict[str, object]] = {}
-        for name, raw in merged.items():
-            out_row: Dict[str, object] = dict(raw)
-            out_row["utilization"] = round(raw["busy_cycles"] / horizon, 6)
-            links[name] = out_row
-        phases: Dict[str, Dict[str, int]] = {}
-        for source in (self._folded_phases, self.sim.phase_stats()):
-            for name, row in source.items():
-                acc = phases.setdefault(
-                    name,
-                    {
-                        "cycles": 0,
-                        "flits": 0,
-                        "messages": 0,
-                        "nbytes": 0,
-                        "drains": 0,
-                    },
-                )
-                for k in acc:
-                    acc[k] += row.get(k, 0)
+        sim = self.sim
+        links = sim.link_utilization()
         return {
             "topology": self.topology.name,
             "kind": self.topology.kind,
@@ -262,34 +108,18 @@ class ClusterInterconnect:
             "buffer_flits": self.buffer_flits,
             "bandwidth": self.bandwidth,
             "latency": self.latency,
-            "epochs": self.epochs,
-            "cycles": total_cycles,
-            "events": f["events"] + current["events"],
-            "messages": f["messages"] + current["messages"],
-            "flits_injected": f["flits_injected"] + current["flits_injected"],
-            "flits_delivered": (
-                f["flits_delivered"] + current["flits_delivered"]
-            ),
-            "flits_dropped": (
-                f["flits_injected"]
-                + current["flits_injected"]
-                - f["flits_delivered"]
-                - current["flits_delivered"]
-            ),
-            "duplicates": f["duplicates"] + current["duplicates"],
-            "blocked_attempts": (
-                f["blocked_attempts"] + current["blocked_attempts"]
-            ),
-            "max_queue_depth": max(
-                f["max_queue_depth"], current["max_queue_depth"]
-            ),
-            "max_inject_depth": max(
-                f["max_inject_depth"], current["max_inject_depth"]
-            ),
-            "phase_cycles": {
-                k: v for k, v in sorted(self.phase_cycles.items())
-            },
-            "phases": {k: phases[k] for k in sorted(phases)},
+            "cycles": sim.engine.now,
+            "events": sim.engine.events_handled,
+            "messages": len(sim.messages),
+            "flits_injected": sim.flits_injected,
+            "flits_delivered": sim.flits_delivered,
+            "flits_dropped": sim.flits_dropped,
+            "duplicates": sim.duplicates,
+            "blocked_attempts": sim.blocked_attempts,
+            "max_queue_depth": sim.max_queue_depth,
+            "max_inject_depth": sim.max_inject_depth,
+            "phase_cycles": dict(sorted(self.phase_cycles.items())),
+            "phases": sim.phase_stats(),
             "links": {k: links[k] for k in sorted(links)},
-            "trace_sha256": self.trace_digest(),
+            "trace_sha256": sim.trace_digest(),
         }

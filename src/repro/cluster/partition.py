@@ -267,21 +267,6 @@ class PartitionPlanner:
             for s in plan.shards
         ]
 
-    def cost_by_shard(self, plan: PartitionPlan) -> Dict[int, int]:
-        """Per-shard cycle costs keyed by shard id.
-
-        The elastic membership layer balances by these when it re-homes
-        shards onto a changed node set — same model the static placement
-        and the executor's pricing use, so incremental moves and
-        from-scratch plans agree on what "balanced" means.
-        """
-        return {
-            s.shard_id: self.shard_cost_cycles(
-                s.rows, s.col_tiles(plan.ring_n)
-            )
-            for s in plan.shards
-        }
-
     def estimate_makespan(self, plan: PartitionPlan, nodes: int) -> int:
         """LPT greedy lower bound on the plan's *compute* makespan."""
         loads = [0] * max(nodes, 1)

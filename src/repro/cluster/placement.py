@@ -13,22 +13,18 @@ processes.
 LPT greedy (longest shard first onto the least-loaded node, the policy
 :class:`repro.cluster.partition.PartitionPlanner` estimates with);
 replicas go to the least-loaded nodes not already holding the shard.
-Ties between equal-load nodes break by **node id**, explicitly — the
-elastic membership layer (:mod:`repro.cluster.membership`) renumbers
-nodes as they churn, so plans must not depend on container iteration
-order.  Replicas encode the shard into their node's cache at placement
-time, so failover never pays an encode on the critical path.
+Ties between equal-load nodes break by **node id**, explicitly, so
+plans never depend on container iteration order.  Replicas encode the
+shard into their node's cache at placement time, so failover never pays
+an encode on the critical path.
 
-Node identity is a persistent integer id, *not* a dense index: after a
-node dies and another joins, the pool might be ``{0, 2, 4}``.  Both
-:class:`ShardPlacement` and :func:`build_nodes` therefore speak id sets
-(``nodes`` may still be passed as a plain count for the static case).
+Nodes are ``0..K-1`` for an executor's lifetime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +38,6 @@ __all__ = [
     "ClusterNode",
     "ShardPlacement",
     "build_nodes",
-    "make_cluster_node",
 ]
 
 
@@ -65,61 +60,45 @@ class ClusterNode:
         return self.runtime.health()
 
 
-def _normalize_node_ids(
-    nodes: Union[int, Sequence[int]]
-) -> Tuple[int, ...]:
-    """A count becomes ``0..K-1``; an id collection is sorted and checked."""
-    if isinstance(nodes, int):
-        if nodes < 1:
-            raise PartitionError("need at least one node")
-        return tuple(range(nodes))
-    ids = sorted(int(n) for n in nodes)
-    if not ids:
-        raise PartitionError("need at least one node")
-    if len(set(ids)) != len(ids):
-        raise PartitionError(f"duplicate node ids in {ids}")
-    if any(n < 0 for n in ids):
-        raise PartitionError(f"negative node ids in {ids}")
-    return tuple(ids)
-
-
 class ShardPlacement:
     """Shard -> ``[primary, replica, ...]`` node assignment."""
 
     def __init__(
         self,
         assignments: Dict[int, List[int]],
-        nodes: Union[int, Sequence[int]],
+        nodes: int,
         replication: int,
     ) -> None:
+        if nodes < 1:
+            raise PartitionError("need at least one node")
         self.assignments = assignments
-        self.node_ids: Tuple[int, ...] = _normalize_node_ids(nodes)
+        self.nodes = nodes
         self.replication = replication
 
     @property
-    def nodes(self) -> int:
-        """Active node *count* (kept for the pre-elastic call sites)."""
-        return len(self.node_ids)
+    def node_ids(self) -> Tuple[int, ...]:
+        return tuple(range(self.nodes))
 
     @classmethod
     def place(
         cls,
         plan: PartitionPlan,
-        nodes: Union[int, Sequence[int]],
+        nodes: int,
         replication: int,
         shard_costs: Optional[Sequence[int]] = None,
     ) -> "ShardPlacement":
         """LPT-greedy primaries plus least-loaded distinct replicas.
 
         All load ties break by ``(load, node_id)`` so the plan is a pure
-        function of ``(plan, node id set, costs)`` — stable across Python
-        versions, container ordering, and elastic churn renumbering.
+        function of ``(plan, nodes, costs)`` — stable across Python
+        versions and container ordering.
         """
-        node_ids = _normalize_node_ids(nodes)
-        if not 1 <= replication <= len(node_ids):
+        if nodes < 1:
+            raise PartitionError("need at least one node")
+        node_ids = range(nodes)
+        if not 1 <= replication <= nodes:
             raise PartitionError(
-                f"replication {replication} must be in "
-                f"1..nodes ({len(node_ids)})"
+                f"replication {replication} must be in 1..nodes ({nodes})"
             )
         costs = (
             list(shard_costs)
@@ -146,48 +125,10 @@ class ShardPlacement:
                 )
                 chosen.append(replica)
             assignments[plan.shards[idx].shard_id] = chosen
-        return cls(assignments, nodes=node_ids, replication=replication)
+        return cls(assignments, nodes=nodes, replication=replication)
 
     def nodes_for(self, shard_id: int) -> List[int]:
         return self.assignments[shard_id]
-
-    def node_shards(self, node_id: int) -> List[int]:
-        """Every shard hosted on a node (as primary or replica)."""
-        return sorted(
-            sid
-            for sid, hosted in self.assignments.items()
-            if node_id in hosted
-        )
-
-    def primary_shards(self, node_id: int) -> List[int]:
-        """Shards this node serves as primary."""
-        return sorted(
-            sid
-            for sid, hosted in self.assignments.items()
-            if hosted and hosted[0] == node_id
-        )
-
-    def add_node(self, node_id: int) -> None:
-        """Admit a node id to the active set (no shards yet)."""
-        if node_id in self.node_ids:
-            raise PartitionError(f"node {node_id} already active")
-        self.node_ids = tuple(sorted(self.node_ids + (node_id,)))
-
-    def remove_node(self, node_id: int) -> None:
-        """Retire a node id; every shard must already be re-homed."""
-        if node_id not in self.node_ids:
-            raise PartitionError(f"node {node_id} is not active")
-        if len(self.node_ids) == 1:
-            raise PartitionError("cannot remove the last node")
-        still = [
-            sid for sid, hosted in self.assignments.items()
-            if node_id in hosted
-        ]
-        if still:
-            raise PartitionError(
-                f"node {node_id} still hosts shards {sorted(still)}"
-            )
-        self.node_ids = tuple(n for n in self.node_ids if n != node_id)
 
     def validate_against(self, plan: PartitionPlan) -> None:
         shard_ids = {s.shard_id for s in plan.shards}
@@ -214,37 +155,6 @@ class ShardPlacement:
         }
 
 
-def make_cluster_node(
-    node_id: int,
-    plan: PartitionPlan,
-    cham: Optional[ChamConfig] = None,
-    faults: Optional[FaultInjector] = None,
-    seed: int = 0,
-    fault_rate: float = 0.0,
-    register_flip_rate: float = 0.0,
-) -> ClusterNode:
-    """One bare node (runtime + empty cache, no engines).
-
-    The fault injector derives from the rate knobs with a per-node seed
-    unless given explicitly.  The elastic join path uses this directly — engines are staged
-    afterwards by *migrating* encoded entries, never by re-encoding.
-    """
-    cfg = cham or cham_default_config()
-    if faults is None:
-        faults = FaultInjector(
-            hang_prob=fault_rate,
-            register_flip_prob=register_flip_rate,
-            seed=seed + node_id,
-        )
-    # lane = node_id + 1: pid 0 stays the coordinator's lane in traces
-    runtime = FpgaRuntime(cfg=cfg, faults=faults, lane=node_id + 1)
-    return ClusterNode(
-        node_id=node_id,
-        runtime=runtime,
-        cache=EncodedMatrixCache(capacity=max(len(plan.shards), 1)),
-    )
-
-
 def build_nodes(
     scheme: BfvScheme,
     matrix: np.ndarray,
@@ -258,25 +168,30 @@ def build_nodes(
 ) -> Dict[int, ClusterNode]:
     """Construct the node pool and stage every hosted shard's encoding.
 
-    One fault injector per node (explicit list, in ``node_ids`` order, or
-    derived from the rate knobs with per-node seeds).  Returns a dict
-    keyed by persistent node id — the elastic membership layer adds and
-    removes entries without renumbering survivors.
+    Each node gets an RAS runtime and an empty encoded-matrix cache, and
+    one fault injector: the explicit list's entry, in node id order, or
+    one derived from the rate knobs with seed ``seed + node_id``.
+    Returns a dict keyed by node id.
     """
     if fault_injectors is not None and len(fault_injectors) != placement.nodes:
         raise PartitionError("one fault injector per node")
+    cfg = cham or cham_default_config()
     nodes: Dict[int, ClusterNode] = {}
-    for idx, node_id in enumerate(placement.node_ids):
-        nodes[node_id] = make_cluster_node(
-            node_id,
-            plan,
-            cham=cham,
-            faults=(
-                fault_injectors[idx] if fault_injectors is not None else None
-            ),
-            seed=seed,
-            fault_rate=fault_rate,
-            register_flip_rate=register_flip_rate,
+    for node_id in placement.node_ids:
+        faults = (
+            fault_injectors[node_id]
+            if fault_injectors is not None
+            else FaultInjector(
+                hang_prob=fault_rate,
+                register_flip_prob=register_flip_rate,
+                seed=seed + node_id,
+            )
+        )
+        nodes[node_id] = ClusterNode(
+            node_id=node_id,
+            # lane = node_id + 1: pid 0 stays the coordinator's lane in traces
+            runtime=FpgaRuntime(cfg=cfg, faults=faults, lane=node_id + 1),
+            cache=EncodedMatrixCache(capacity=max(len(plan.shards), 1)),
         )
     for shard in plan.shards:
         for node_id in placement.nodes_for(shard.shard_id):

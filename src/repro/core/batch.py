@@ -210,52 +210,15 @@ class EncodedMatrixCache:
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def key_for(
-        scheme: BfvScheme,
-        matrix: np.ndarray,
-        tile_rows: Optional[int] = None,
-    ) -> str:
-        """The cache key :meth:`get_or_encode` would file ``matrix`` under.
-
-        The elastic cluster layer uses this to *migrate* an already-encoded
-        entry between node caches (install under the same key on the
-        destination) without ever re-running the encode.
-        """
-        tile = _tile_rows(tile_rows, scheme.params.n)
-        return matrix_fingerprint(matrix, scheme.params, tile)
-
-    def peek(self, key: str) -> Optional[EncodedMatrix]:
-        """Look up an entry by key without encoding on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def install(self, key: str, entry: EncodedMatrix) -> bool:
-        """Adopt an already-encoded entry (cache-to-cache migration).
-
-        Returns ``True`` when the entry was newly installed, ``False``
-        when the key was already resident (the move was unnecessary).
-        Never encodes; never counts as a hit or a miss.
-        """
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return False
-            self._entries[key] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-            return True
-
     def get_or_encode(
         self,
         scheme: BfvScheme,
         matrix: np.ndarray,
         tile_rows: Optional[int] = None,
     ) -> EncodedMatrix:
-        key = self.key_for(scheme, matrix, tile_rows)
+        key = matrix_fingerprint(
+            matrix, scheme.params, _tile_rows(tile_rows, scheme.params.n)
+        )
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:

@@ -544,32 +544,25 @@ class NetworkSimulator:
             (r.max_inject_depth for r in self._routers), default=0
         )
 
-    def link_stats_raw(self) -> Dict[str, Dict[str, int]]:
-        """Integer per-link counters keyed by link name (no ratios)."""
-        table: Dict[str, Dict[str, int]] = {}
-        for pos, link in enumerate(self._links):
-            flits = self._sent[pos]
-            table[link.name] = {
-                "flits": flits,
-                "nbytes": flits * self.flit_bytes,
-                "busy_cycles": (
-                    flits * link.serialization_cycles(self.flit_bytes)
-                    if flits
-                    else 0
-                ),
-                "blocked": self._blocked[pos],
-                "max_depth": self._max_depth[pos],
-            }
-        return table
-
     def link_utilization(self) -> Dict[str, Dict[str, object]]:
         """Per-link flit/busy/utilization table keyed by link name."""
         horizon = max(1, self.engine.now)
         table: Dict[str, Dict[str, object]] = {}
-        for name, raw in self.link_stats_raw().items():
-            row: Dict[str, object] = dict(raw)
-            row["utilization"] = round(raw["busy_cycles"] / horizon, 6)
-            table[name] = row
+        for pos, link in enumerate(self._links):
+            flits = self._sent[pos]
+            busy = (
+                flits * link.serialization_cycles(self.flit_bytes)
+                if flits
+                else 0
+            )
+            table[link.name] = {
+                "flits": flits,
+                "nbytes": flits * self.flit_bytes,
+                "busy_cycles": busy,
+                "blocked": self._blocked[pos],
+                "max_depth": self._max_depth[pos],
+                "utilization": round(busy / horizon, 6),
+            }
         return table
 
     def phase_stats(self) -> Dict[str, Dict[str, int]]:

@@ -28,10 +28,8 @@ Four builders cover the design space the partition planner explores:
     the host link fattened by ``arity`` so the core is non-blocking —
     the "spend wires to buy back cycles" end of the DSE axis.
 
-Node ids are *persistent* ids, not dense indices — the elastic
-membership layer hands us sets like ``{0, 2, 5}`` after churn.  Builders
-sort the ids and assign positions by rank, so the same id set always
-yields the same wiring.
+Node ids need not be dense: builders sort the ids and assign positions
+by rank, so the same id set always yields the same wiring.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Metamorphic cluster properties (ISSUE 5): the algebra behind sharding.
 
-Three families, each a statement about *relations* between runs rather
+Four families, each a statement about *relations* between runs rather
 than fixed expected values:
 
 * **merge linearity** — the modular sum of column-shard partial LWE
@@ -14,15 +14,31 @@ than fixed expected values:
 * **replication invariance** — the replication degree and injected node
   hangs change *where* shards run, never the output: a faulty run with
   any replication equals the fault-free run bit for bit, with zero
-  dropped shards.
+  dropped shards;
+* **replay determinism** — a run on a hang-injecting ring is a pure
+  function of its seeds: two executors built from the same seeds give
+  byte-identical result limbs and report JSON.
+
+Placement's node-id tie-break is pinned at the end.
 """
 
+import hashlib
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig, ClusterExecutor, PartitionPlanner
+from repro.cluster import (
+    ClusterConfig,
+    ClusterExecutor,
+    PartitionPlanner,
+    ShardPlacement,
+)
 from repro.core.batch import BatchedHmvp
+from repro.he.bfv import BfvScheme
+from repro.he.params import toy_params
 from repro.math.modular import modadd_vec
 
 RING = 128
@@ -178,3 +194,79 @@ def test_replication_invariance_under_hangs(scheme128, replication, fault_seed):
     assert report.dropped == 0
     # every shard reached a terminal outcome on some resource
     assert report.shard_executions == report.shards_per_request
+
+
+# -- replay determinism ---------------------------------------------------
+
+REPLAY_SCHEME_SEED = 0xE1A57
+
+
+def _limb_digests(result):
+    return [
+        hashlib.sha256(np.ascontiguousarray(limb).tobytes()).hexdigest()
+        for pack in result.packs
+        for component in (pack.ct.c0, pack.ct.c1)
+        for limb in np.asarray(component)
+    ]
+
+
+def _ring_replay(seed):
+    """One fully seeded run: 10x256 sharded 2x2 over 3 ring nodes with
+    hang injection.  The scheme is rebuilt from a pinned seed each call,
+    so equal ``seed`` means equal keys, encryption and fault rolls."""
+    scheme = BfvScheme(
+        toy_params(n=RING, plain_bits=40),
+        seed=REPLAY_SCHEME_SEED,
+        max_pack=RING,
+    )
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(-70, 70, (10, 2 * RING))
+    executor = ClusterExecutor(
+        scheme,
+        matrix,
+        config=ClusterConfig(
+            nodes=3,
+            replication=2,
+            fault_rate=0.3,
+            seed=seed,
+            topology="ring",
+        ),
+        plan=PartitionPlanner(RING).plan_from_cuts(
+            10, 2 * RING, (0, 6, 10), (0, RING, 2 * RING)
+        ),
+    )
+    requests = [
+        executor.encrypt_vector(rng.integers(-70, 70, 2 * RING))
+        for _ in range(5)
+    ]
+    digests = [_limb_digests(r) for r in executor.execute_batch(requests)]
+    report = executor.report()
+    assert report.shard_retries > 0, "no hang was injected"
+    return digests, json.dumps(report.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_static_ring_replay_is_byte_identical(seed):
+    """Same seeds, same bits and same report, failover included."""
+    assert _ring_replay(seed) == _ring_replay(seed)
+
+
+# -- placement ------------------------------------------------------------
+
+
+def test_lpt_tie_break_is_by_node_id():
+    """Equal-load ties break by node id explicitly, so plans are stable
+    across Python versions, container orderings, and churn renumbering."""
+    planner = PartitionPlanner(128)
+    plan = planner.plan_from_cuts(
+        8, 512, (0, 4, 8), (0, 128, 256, 384, 512)
+    )
+    costs = [10] * len(plan.shards)
+    placement = ShardPlacement.place(
+        plan, nodes=3, replication=2, shard_costs=costs
+    )
+    primaries = [
+        placement.nodes_for(s.shard_id)[0] for s in plan.shards
+    ]
+    # all-equal costs: LPT degrades to round-robin over ascending node id
+    assert primaries == [0, 1, 2, 0, 1, 2, 0, 1]

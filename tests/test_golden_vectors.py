@@ -21,12 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster import (
-    ClusterConfig,
-    ClusterExecutor,
-    MembershipSchedule,
-    PartitionPlanner,
-)
+from repro.cluster import ClusterConfig, ClusterExecutor, PartitionPlanner
 from repro.core.batch import BatchedHmvp
 from repro.he.bfv import BfvScheme
 from repro.he.params import toy_params
@@ -46,17 +41,6 @@ CLUSTER_DATA_SEED = 0x601D2
 CLUSTER_ROWS, CLUSTER_COLS = 10, 256
 CLUSTER_ROW_CUTS = (0, 6, 10)
 CLUSTER_COL_CUTS = (0, 128, 256)
-
-# elastic-membership golden runs (ISSUE 8): same pinned scheme seed, a
-# third data seed, and two frozen schedules — one scale-down, one
-# scale-up — over the same shard grid.  Both must produce the *same*
-# per-limb result digests: the schedule moves work, never bits.
-ELASTIC_DATA_SEED = 0x601D3
-ELASTIC_REQUESTS = 3
-ELASTIC_SCHEDULES = {
-    "scale_down": "1:kill:2,2:leave:1",  # 3 nodes -> 1
-    "scale_up": "1:join,2:join:5",  # 3 nodes -> 5
-}
 
 
 def _build():
@@ -164,85 +148,6 @@ def _generate_cluster():
             d for ct in ct_tiles for d in _limb_digests(ct)
         ],
         "result_ct_digests": _limb_digests(result.packs[0].ct),
-    }
-
-
-def _build_elastic():
-    scheme = BfvScheme(
-        toy_params(n=COLS, plain_bits=40), seed=SCHEME_SEED, max_pack=COLS
-    )
-    rng = np.random.default_rng(ELASTIC_DATA_SEED)
-    matrix = rng.integers(-100, 100, (CLUSTER_ROWS, CLUSTER_COLS))
-    vectors = [
-        rng.integers(-100, 100, CLUSTER_COLS)
-        for _ in range(ELASTIC_REQUESTS)
-    ]
-    return scheme, matrix, vectors
-
-
-def _run_elastic(spec):
-    """One pinned-seed elastic run; scheme rebuilt so both schedules see
-    identical key material and encryption randomness."""
-    scheme, matrix, vectors = _build_elastic()
-    plan = PartitionPlanner(COLS).plan_from_cuts(
-        CLUSTER_ROWS, CLUSTER_COLS, CLUSTER_ROW_CUTS, CLUSTER_COL_CUTS
-    )
-    executor = ClusterExecutor(
-        scheme,
-        matrix,
-        config=ClusterConfig(nodes=3, replication=2, seed=0),
-        plan=plan,
-        schedule=MembershipSchedule.parse(spec),
-    )
-    cts = [executor.encrypt_vector(v) for v in vectors]
-    results = executor.execute_batch(cts)
-    report = executor.report()
-    return {
-        "schedule": spec,
-        "result_ct_digests": [
-            _limb_digests(r.packs[0].ct) for r in results
-        ],
-        "final_nodes": report.nodes,
-        "membership": {
-            key: report.membership[key]
-            for key in (
-                "joins", "leaves", "kills", "replica_promotions",
-                "drained_shards", "migrated_entries", "reencodes",
-                "reencodes_avoided",
-            )
-        },
-    }
-
-
-def _generate_elastic():
-    _scheme, matrix, vectors = _build_elastic()
-    return {
-        "description": (
-            "Pinned-seed elastic membership golden runs: same scheme "
-            "seed, data seed 0x601D3, the cluster shard grid, one "
-            "scale-down and one scale-up schedule.  Result digests are "
-            "identical across schedules by construction — membership "
-            "moves work between nodes, never bits."
-        ),
-        "params": {
-            "n": COLS,
-            "plain_bits": 40,
-            "scheme_seed": SCHEME_SEED,
-            "data_seed": ELASTIC_DATA_SEED,
-            "rows": CLUSTER_ROWS,
-            "cols": CLUSTER_COLS,
-            "row_cuts": list(CLUSTER_ROW_CUTS),
-            "col_cuts": list(CLUSTER_COL_CUTS),
-            "nodes": 3,
-            "replication": 2,
-            "requests": ELASTIC_REQUESTS,
-        },
-        "matrix": matrix.tolist(),
-        "vectors": [v.tolist() for v in vectors],
-        "runs": {
-            name: _run_elastic(spec)
-            for name, spec in ELASTIC_SCHEDULES.items()
-        },
     }
 
 
@@ -423,7 +328,6 @@ def _generate_netsim_ring():
 def _generate_all():
     payload = _generate()
     payload["cluster"] = _generate_cluster()
-    payload["elastic"] = _generate_elastic()
     payload["netsim"] = _generate_netsim()
     payload["netsim_ring"] = _generate_netsim_ring()
     return payload
@@ -522,52 +426,6 @@ def test_cluster_golden_digest_shape():
     assert len(golden["result_ct_digests"]) == 2 * 2
     for entry in golden["input_ct_digests"] + golden["result_ct_digests"]:
         assert len(entry["sha256"]) == 64
-
-
-def test_elastic_golden_inputs_regenerate_identically():
-    _scheme, matrix, vectors = _build_elastic()
-    golden = _load()["elastic"]
-    assert golden["params"]["scheme_seed"] == SCHEME_SEED
-    assert golden["params"]["data_seed"] == ELASTIC_DATA_SEED
-    assert matrix.tolist() == golden["matrix"]
-    assert [v.tolist() for v in vectors] == golden["vectors"]
-
-
-def test_elastic_golden_schedules_agree_bit_for_bit():
-    """The frozen scale-down and scale-up runs carry identical per-limb
-    result digests for every request: the schedule relocates shards,
-    the ciphertext bits never notice."""
-    golden = _load()["elastic"]
-    down = golden["runs"]["scale_down"]
-    up = golden["runs"]["scale_up"]
-    assert down["result_ct_digests"] == up["result_ct_digests"]
-    assert down["final_nodes"] == 1
-    assert up["final_nodes"] == 5
-    for run in (down, up):
-        assert run["membership"]["reencodes"] == 0
-
-
-def test_elastic_golden_replay_matches_digests_and_counters():
-    """Both pinned schedules replay bit-identically — digest drift means
-    the crypto pipeline moved; counter drift means the migration or
-    placement policy moved.  Either demands an intentional --regen."""
-    golden = _load()["elastic"]
-    for name, spec in ELASTIC_SCHEDULES.items():
-        fresh = _run_elastic(spec)
-        pinned = golden["runs"][name]
-        assert fresh["result_ct_digests"] == pinned["result_ct_digests"]
-        assert fresh["membership"] == pinned["membership"]
-        assert fresh["final_nodes"] == pinned["final_nodes"]
-
-
-def test_elastic_golden_digest_shape():
-    golden = _load()["elastic"]
-    for run in golden["runs"].values():
-        assert len(run["result_ct_digests"]) == ELASTIC_REQUESTS
-        for per_request in run["result_ct_digests"]:
-            assert len(per_request) == 2 * 2  # (c0, c1) x (q0, q1)
-            for entry in per_request:
-                assert len(entry["sha256"]) == 64
 
 
 def test_netsim_golden_inputs_regenerate_identically():

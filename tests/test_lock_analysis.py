@@ -9,13 +9,13 @@ Fixture layers:
   serving stack uses (``Thread(target=)``, ``pool.submit``,
   ``pool.map`` with a lambda, ``loop.run_in_executor`` bridged through
   ``obs.run_with_context``), plus guarded/noqa/clean variants;
-* the ISSUE-9 satellite: the cross-cache migration path
-  (``ClusterController`` driving ``EncodedMatrixCache.install``) is
-  **clean** — the controller advances on the executor's main thread and
-  every cache mutation happens under the cache lock.  The regression
-  test pins that verdict against the real tree and asserts the
-  worker-reachability analysis actually traced the serve/batch spawn
-  chain (a vacuously-empty call graph would also report "clean").
+* the ISSUE-9 satellite: the real tree is **clean** under both rules —
+  every ``EncodedMatrixCache`` mutation happens under the cache lock —
+  and a cache-to-cache migration driven from a pool worker with a write
+  outside the lock still fires.  The regression test pins that verdict
+  against the real tree and asserts the worker-reachability analysis
+  actually traced the serve/batch spawn chain (a vacuously-empty call
+  graph would also report "clean").
 """
 
 from pathlib import Path
@@ -352,16 +352,15 @@ class TestUnguardedSharedWrite:
 
 
 class TestMigrationVerdict:
-    """`ClusterController` / `EncodedMatrixCache.install` is clean.
+    """The real tree is clean; a hazardous cache migration is not.
 
-    The hazard under suspicion: scale events migrate encoded entries
-    between node caches while executor worker threads serve requests
-    from those caches.  The analysis verdict is CLEAN because (a) the
-    controller's `advance` runs on the executor's request loop (main
-    thread), never on a pool worker, and (b) every `EncodedMatrixCache`
-    mutation (`peek`/`install`/`get_or_encode`/`clear`) takes
-    `self._lock`.  These tests pin both halves so a refactor that moves
-    migration onto a worker, or adds an unlocked cache write, fails.
+    The hazard under suspicion: moving encoded entries between caches
+    while worker threads serve requests from them.  The real tree is
+    CLEAN because every `EncodedMatrixCache` mutation
+    (`get_or_encode`/`clear`) takes `self._lock`; the synthetic
+    migration below, which drives an unlocked write from a pool
+    worker, must fire.  A refactor that adds an unlocked cache write
+    reachable from a worker fails here.
     """
 
     @pytest.fixture(scope="class")

@@ -182,12 +182,6 @@ def test_shipped_floors_match_bench_metrics():
         "keyswitch": {
             "ops_per_s_single", "ops_per_s_batched",
         },
-        "elastic": {
-            "goodput_sim_rps_static", "goodput_sim_rps_elastic",
-            "goodput_ratio_vs_static", "makespan_cycles_elastic",
-            "migrated_entries", "reencodes", "reencodes_avoided",
-            "replica_promotions", "dropped_total",
-        },
         "topology": {
             "goodput_sim_rps_ideal", "goodput_sim_rps_ring",
             "goodput_sim_rps_mesh", "goodput_sim_rps_fat_tree",
