@@ -41,7 +41,7 @@ def _run_cluster(bench_scheme, workload, nodes):
         matrix,
         config=ClusterConfig(
             nodes=nodes,
-            replication=2,
+            replication=min(2, nodes),
             max_retries=1,
             fault_rate=FAULT_RATE,
             seed=17,

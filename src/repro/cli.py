@@ -353,7 +353,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         link_latency=getattr(args, "latency", 4),
         flit_bytes=getattr(args, "flit_bytes", 64),
     )
-    executor = ClusterExecutor(scheme, matrix, config=config)
+    try:
+        executor = ClusterExecutor(scheme, matrix, config=config)
+    except ValueError as exc:
+        print(f"repro cluster: {exc}", file=sys.stderr)
+        return 2
     vectors = [rng.integers(-40, 40, cols) for _ in range(args.requests)]
     requests = [executor.encrypt_vector(v) for v in vectors]
     results = executor.execute_batch(requests)
@@ -383,7 +387,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     plan = executor.plan
     print(
         f"cluster: {args.requests} requests x ({args.rows}x{cols}) matrix, "
-        f"{args.nodes} node(s) x{args.replication} replication, "
+        f"{args.nodes} node(s) x{report.replication} replication, "
         f"fault rate {args.fault_rate}"
     )
     print(
@@ -683,7 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--requests", type=int, default=8)
     cluster.add_argument("--nodes", type=int, default=4)
-    cluster.add_argument("--replication", type=int, default=2)
+    cluster.add_argument("--replication", type=int, default=None,
+                         help="copies of every shard, 1..nodes "
+                              "(default: min(2, nodes))")
     cluster.add_argument("--rows", type=int, default=96)
     cluster.add_argument("--cols", type=int, default=None,
                          help="matrix columns (default: 2 ring tiles)")

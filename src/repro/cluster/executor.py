@@ -75,8 +75,9 @@ class ClusterConfig:
 
     #: simulated accelerator nodes
     nodes: int = 4
-    #: copies of every shard (1 = no failover capacity)
-    replication: int = 2
+    #: copies of every shard (1 = no failover capacity), in
+    #: ``1..nodes``; ``None`` means ``min(2, nodes)``
+    replication: Optional[int] = None
     #: extra passes over a shard's replica list before degrading to CPU
     max_retries: int = 1
     #: device hang probability per shard offload (per-node injectors
@@ -247,6 +248,14 @@ class ClusterExecutor:
         self.config = config or ClusterConfig()
         if self.config.max_retries < 0:
             raise ValueError("max_retries must be at least 0")
+        replication = self.config.replication
+        if replication is None:
+            replication = min(2, self.config.nodes)
+        elif not 1 <= replication <= self.config.nodes:
+            raise ValueError(
+                f"replication must be in 1..nodes ({self.config.nodes}), "
+                f"got {replication}"
+            )
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
@@ -287,7 +296,7 @@ class ClusterExecutor:
             placement = ShardPlacement.place(
                 plan,
                 nodes=self.config.nodes,
-                replication=min(self.config.replication, self.config.nodes),
+                replication=replication,
                 shard_costs=costs,
             )
         placement.validate_against(plan)

@@ -110,7 +110,7 @@ class ClusterInterconnect:
             "latency": self.latency,
             "cycles": sim.engine.now,
             "events": sim.engine.events_handled,
-            "messages": len(sim.messages),
+            "messages": sim.message_count,
             "flits_injected": sim.flits_injected,
             "flits_delivered": sim.flits_delivered,
             "flits_dropped": sim.flits_dropped,

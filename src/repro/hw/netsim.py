@@ -7,8 +7,7 @@ Three layers, smallest first:
     where ``seq`` is a monotone schedule counter, so two events at the
     same cycle always replay in the order they were scheduled.  No wall
     clock, no randomness — a run is a pure function of the injected
-    workload, and the engine folds every handled event's trace line into
-    a sha256 so two runs can be compared by digest alone.
+    workload.
 
 :class:`Router`
     Per-router queue state: an unbounded DMA-style injection queue (the
@@ -39,6 +38,16 @@ by destination router holding the outgoing link, its per-flit
 serialization cycles, its latency and the credits the bubble rule asks
 for.  A flit is a plain ``(msg_id, index, dst_router)`` tuple.
 
+Drain replay: a drain that starts quiescent (the heap holds only its own
+injections, every credit is home, every buffer and queue is empty and
+nothing is in flight) is a pure function of the ordered
+``(src, dst, nbytes)`` list injected since the last drain.  The
+simulator records such a drain's deltas by that list, and a repeat adds
+them at the current cycle instead of running the flit loop.  The trace
+digest chains one sha256 per drain over the drain's event lines written
+relative to its start cycle, first inject seq and first message id, so a
+replayed drain extends it exactly as the simulated one would.
+
 On the ``ideal`` topology there are no links: flits teleport at the
 injection cycle, so drained phases cost zero cycles while flit counts
 remain comparable with real topologies.
@@ -50,7 +59,7 @@ import hashlib
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .topology import Topology, TopologyError
 
@@ -72,6 +81,10 @@ _INJECT, _ARRIVE, _CREDIT, _PUMP = range(4)
 _Flit = Tuple[int, int, int]
 #: ``(link, serialization cycles of one flit, latency, credits needed)``
 _Hop = Tuple[int, int, int, int]
+#: one injected message as a drain's memo key sees it
+_Send = Tuple[int, int, int]
+
+_PHASE_KEYS = ("cycles", "flits", "messages", "nbytes", "drains")
 
 
 @dataclass
@@ -88,14 +101,36 @@ class MessageRecord:
     delivered_at: Optional[int] = None
 
 
+class _Drain(NamedTuple):
+    """What one drain did, as deltas a replay adds at its start cycle."""
+
+    cycles: int
+    #: schedule-counter advance
+    seq: int
+    events: int
+    #: ``(link position, delta)`` for every link whose count moved
+    sent: Tuple[Tuple[int, int], ...]
+    blocked: Tuple[Tuple[int, int], ...]
+    injected: int
+    delivered: int
+    duplicates: int
+    #: sha256 of the drain's relative trace; empty when it handled no event
+    rel: bytes
+
+
+def _deltas(before: List[int], after: List[int]) -> Tuple[Tuple[int, int], ...]:
+    return tuple(
+        (pos, a - b) for pos, (b, a) in enumerate(zip(before, after)) if a != b
+    )
+
+
 class SimulatorEngine:
-    """Event heap with stable ``(time, seq)`` ordering and a trace hash.
+    """Event heap with stable ``(time, seq)`` ordering.
 
     :meth:`NetworkSimulator.drain` runs this loop inline on ``_heap``,
-    ``_seq``, ``_now`` and ``_events_handled``.  Trace lines collect in
-    :attr:`trace_lines` and :meth:`flush` folds them into the digest as
-    ``"\\n".join(lines) + "\\n"`` — the same sha256 as hashing each line
-    and its newline as the event happens.
+    ``_seq``, ``_now`` and ``_events_handled``, and a replayed drain
+    advances them by its recorded deltas.  The trace digest lives in
+    :class:`NetworkSimulator`.
     """
 
     def __init__(self) -> None:
@@ -103,9 +138,6 @@ class SimulatorEngine:
         self._seq = 0
         self._now = 0
         self._events_handled = 0
-        self._trace = hashlib.sha256()
-        #: trace lines not yet folded into the digest
-        self.trace_lines: List[str] = []
 
     @property
     def now(self) -> int:
@@ -128,17 +160,6 @@ class SimulatorEngine:
         self._now = entry[0]
         self._events_handled += 1
         return entry[0], entry[1], entry[2:]
-
-    def flush(self) -> None:
-        """Fold the buffered trace lines into the running digest."""
-        if self.trace_lines:
-            joined = "\n".join(self.trace_lines) + "\n"
-            self._trace.update(joined.encode("ascii"))
-            self.trace_lines.clear()
-
-    def trace_digest(self) -> str:
-        self.flush()
-        return self._trace.hexdigest()
 
 
 @dataclass
@@ -172,10 +193,11 @@ class NetworkSimulator:
         self.flit_bytes = int(flit_bytes)
         self.buffer_flits = int(buffer_flits)
         self.engine = SimulatorEngine()
+        #: records of the messages still in flight (of every message
+        #: when ``record_orders`` is set)
         self.messages: Dict[int, MessageRecord] = {}
         self._next_msg_id = 0
         self._phase = "idle"
-        self._phase_start = 0
         self._phases: Dict[str, Dict[str, int]] = {}
         #: undelivered flit indices per message still in flight; a
         #: delivery outside its message's set is a duplicate
@@ -186,10 +208,20 @@ class NetworkSimulator:
         #: ``time * routers + router`` of every pump already scheduled
         self._pump_pending: Set[int] = set()
         #: per-link (msg_id, flit_index) send/arrive orders for the
-        #: FIFO property tests; disabled by default to bound memory
+        #: FIFO property tests; disabled by default to bound memory.
+        #: With orders recorded every drain is simulated.
         self.record_orders = record_orders
         self.sent_order: Dict[int, List[Tuple[int, int]]] = {}
         self.arrive_order: Dict[int, List[Tuple[int, int]]] = {}
+        #: ``(src, dst, nbytes)`` of each message since the last drain
+        self._pending: List[_Send] = []
+        #: quiescent drains by their injected list
+        self._memo: Dict[Tuple[_Send, ...], _Drain] = {}
+        #: drains replayed from the memo instead of simulated
+        self.replayed_drains = 0
+        #: chained trace digest; sha256 of nothing until a drain handles
+        #: an event
+        self._digest = hashlib.sha256().digest()
 
         # routers and links by dense index; links in id order
         self._router_names: Tuple[str, ...] = tuple(topology.routers)
@@ -277,13 +309,12 @@ class NetworkSimulator:
     def now(self) -> int:
         return self.engine.now
 
+    def _phase_row(self) -> Dict[str, int]:
+        return self._phases.setdefault(self._phase, dict.fromkeys(_PHASE_KEYS, 0))
+
     def begin_phase(self, name: str) -> None:
         self._phase = str(name)
-        self._phase_start = self.engine.now
-        self._phases.setdefault(
-            self._phase,
-            {"cycles": 0, "flits": 0, "messages": 0, "nbytes": 0, "drains": 0},
-        )
+        self._phase_row()
 
     def inject(self, src: int, dst: int, nbytes: int, tag: str = "") -> int:
         """Queue a DMA-style message injection at the current cycle."""
@@ -309,10 +340,8 @@ class NetworkSimulator:
         )
         self._next_msg_id += 1
         self.messages[msg.msg_id] = msg
-        ph = self._phases.setdefault(
-            self._phase,
-            {"cycles": 0, "flits": 0, "messages": 0, "nbytes": 0, "drains": 0},
-        )
+        self._pending.append((src, dst, nbytes))
+        ph = self._phase_row()
         ph["messages"] += 1
         ph["flits"] += nflits
         ph["nbytes"] += nbytes
@@ -322,21 +351,121 @@ class NetworkSimulator:
     def drain(self) -> int:
         """Run the event queue dry; return cycles the phase advanced.
 
-        Every handled event appends its trace line, then pumps one
-        router: an injection its source router, an arrival the link's
-        far end, a credit the link's sender, a pump its own router.  A
-        pump forwards every head flit that can move this cycle, passing
-        over the arbitration list until a pass moves nothing.
+        A drain that starts quiescent (:meth:`_quiescent`) replays the
+        recorded drain of the same injected list when there is one, and
+        is simulated and recorded otherwise.  Every other drain, and
+        every drain with ``record_orders`` set, is simulated; a drain
+        that raises is not recorded.
+        """
+        engine = self.engine
+        start = engine._now
+        key = tuple(self._pending)
+        self._pending.clear()
+        n = len(key)
+        # the first injection's seq and message id, unless something
+        # else was scheduled since the last drain
+        seq0 = engine._seq - n
+        msg0 = self._next_msg_id - n
+        memoize = not self.record_orders and self._quiescent(seq0, msg0, n)
+        run = self._memo.get(key) if memoize else None
+        if run is None:
+            run = self._simulate(start, seq0, msg0)
+            if memoize:
+                self._memo[key] = run
+        else:
+            self._replay(run, start, seq0, msg0, n)
+        ph = self._phase_row()
+        ph["cycles"] += run.cycles
+        ph["drains"] += 1
+        return run.cycles
+
+    def trace_digest(self) -> str:
+        """sha256 chained over every drain's relative event trace."""
+        return self._digest.hex()
+
+    # ------------------------------------------------------------------
+    # drain helpers
+    # ------------------------------------------------------------------
+    def _quiescent(self, seq0: int, msg0: int, n: int) -> bool:
+        """Whether a drain starting now depends only on its injected list.
+
+        The heap holds exactly the ``n`` injections since the last drain
+        (seqs from ``seq0``, message ids from ``msg0``), every credit is
+        home, every link buffer and injection queue is empty, and no
+        pump or message is pending.  Every drain that returned leaves
+        this so; the check stays because :meth:`SimulatorEngine.schedule`
+        is public.  No link is then still serialising: a send's arrival
+        is scheduled no earlier than the link frees, and popping it
+        brings the clock there.
+        """
+        now = self.engine._now
+        cap = self.buffer_flits
+        return (
+            self.engine._heap
+            == [(now, seq0 + i, _INJECT, msg0 + i, None) for i in range(n)]
+            and not self._undelivered
+            and not self._pump_pending
+            and all(c == cap for c in self._credits)
+            and not any(self._bufs)
+            and not any(r.inject_q for r in self._routers)
+        )
+
+    def _chain(self, start: int, seq0: int, msg0: int, rel: bytes) -> None:
+        """Fold one drain's relative trace and its offsets into the
+        digest; a drain that handled no event leaves it as it is."""
+        if rel:
+            self._digest = hashlib.sha256(
+                self._digest + f"{start} {seq0} {msg0}\n".encode("ascii") + rel
+            ).digest()
+
+    def _replay(
+        self, run: _Drain, start: int, seq0: int, msg0: int, n: int
+    ) -> None:
+        """Add a recorded quiescent drain's deltas at cycle ``start``.
+
+        Per-link and per-router maximum depths need nothing: the
+        simulated run already folded the same depths into them.
+        """
+        engine = self.engine
+        engine._heap.clear()
+        engine._now = start + run.cycles
+        engine._seq += run.seq
+        engine._events_handled += run.events
+        for pos, flits in run.sent:
+            self._sent[pos] += flits
+        for pos, attempts in run.blocked:
+            self._blocked[pos] += attempts
+        self._flits_injected += run.injected
+        self._flits_delivered += run.delivered
+        self._duplicates += run.duplicates
+        for msg_id in range(msg0, msg0 + n):
+            del self.messages[msg_id]
+        self.replayed_drains += 1
+        self._chain(start, seq0, msg0, run.rel)
+
+    def _simulate(self, start: int, seq0: int, msg0: int) -> _Drain:
+        """Run the flit loop dry and return what it did.
+
+        Every handled event writes its trace line, with cycles, seqs and
+        message ids relative to ``start``, ``seq0`` and ``msg0``, then
+        pumps one router: an injection its source router, an arrival the
+        link's far end, a credit the link's sender, a pump its own
+        router.  A pump forwards every head flit that can move this
+        cycle, passing over the arbitration list until a pass moves
+        nothing.  A flit delivered by a pump has no seq of its own and
+        writes ``-1``.
         """
         engine = self.engine
         heap = engine._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
-        start = now = engine._now
-        seq = seq0 = engine._seq
+        now = start
+        seq = seq_start = engine._seq
         queued = len(heap)
-        out = engine.trace_lines.append
+        lines: List[str] = []
+        out = lines.append
         deliver = self._deliver
+        messages = self.messages
         record = self.record_orders
         cap = self.buffer_flits
         arbitration = self._arbitration
@@ -352,13 +481,19 @@ class NetworkSimulator:
         names = self._router_names
         nrouters = len(names)
         pump_pending = self._pump_pending
+        sent0, blocked0 = list(sent), list(blocked)
+        counts0 = (self._flits_injected, self._flits_delivered, self._duplicates)
+        rel = b""
         try:
             while heap:
                 now, s, kind, a, b = heappop(heap)
                 if kind == _ARRIVE:
                     msg_id, index, _ = b
                     lid = links[a].link_id
-                    out(f"{now}.{s} arrive {lid} m{msg_id}.{index}")
+                    out(
+                        f"{now - start}.{s - seq0} arrive {lid} "
+                        f"m{msg_id - msg0}.{index}"
+                    )
                     buf = bufs[a]
                     buf.append(b)
                     depth = len(buf)
@@ -374,7 +509,7 @@ class NetworkSimulator:
                         self.arrive_order[lid].append((msg_id, index))
                     r = link_dst[a]
                 elif kind == _CREDIT:
-                    out(f"{now}.{s} credit {links[a].link_id}")
+                    out(f"{now - start}.{s - seq0} credit {links[a].link_id}")
                     credits[a] += 1
                     if credits[a] > cap:  # pragma: no cover - invariant
                         raise RuntimeError(
@@ -383,11 +518,23 @@ class NetworkSimulator:
                     r = link_src[a]
                 elif kind == _PUMP:
                     pump_pending.discard(now * nrouters + a)
-                    out(f"{now}.{s} pump {names[a]}")
+                    out(f"{now - start}.{s - seq0} pump {names[a]}")
                     r = a
                 elif kind == _INJECT:
-                    r = self._queue_flits(now, s, a)
+                    msg = messages[a]
+                    out(
+                        f"{now - start}.{s - seq0} inject m{a - msg0} "
+                        f"{msg.src}>{msg.dst} f{msg.flits} b{msg.nbytes}"
+                    )
+                    r = self._queue_flits(msg)
                     if r < 0:
+                        # ideal fabric: every flit lands at injection
+                        for index in range(msg.flits):
+                            deliver(a, index, now)
+                            out(
+                                f"{now - start}.{s - seq0} deliver "
+                                f"m{a - msg0}.{index}"
+                            )
                         continue
                 else:  # pragma: no cover - defensive
                     raise RuntimeError(f"unknown event kind {kind!r}")
@@ -406,7 +553,11 @@ class NetworkSimulator:
                                 # the lookup to raise its error
                                 self._hop(r, flit[2], None)
                             queue.popleft()
-                            deliver(flit[0], flit[1], now, -1)
+                            deliver(flit[0], flit[1], now)
+                            out(
+                                f"{now - start}.-1 deliver "
+                                f"m{flit[0] - msg0}.{flit[1]}"
+                            )
                         else:
                             link, ser, latency, need = hop
                             c = credits[link]
@@ -448,50 +599,44 @@ class NetworkSimulator:
                         progress = True
         finally:
             engine._now = now
-            engine._events_handled += queued + (seq - seq0) - len(heap)
+            events = queued + (seq - seq_start) - len(heap)
+            engine._events_handled += events
             engine._seq = seq
-            engine.flush()
-        elapsed = now - start
-        ph = self._phases.setdefault(
-            self._phase,
-            {"cycles": 0, "flits": 0, "messages": 0, "nbytes": 0, "drains": 0},
+            if lines:
+                joined = "\n".join(lines) + "\n"
+                rel = hashlib.sha256(joined.encode("ascii")).digest()
+            self._chain(start, seq0, msg0, rel)
+        return _Drain(
+            cycles=now - start,
+            seq=seq - seq_start,
+            events=events,
+            sent=_deltas(sent0, sent),
+            blocked=_deltas(blocked0, blocked),
+            injected=self._flits_injected - counts0[0],
+            delivered=self._flits_delivered - counts0[1],
+            duplicates=self._duplicates - counts0[2],
+            rel=rel,
         )
-        ph["cycles"] += elapsed
-        ph["drains"] += 1
-        return elapsed
 
-    def trace_digest(self) -> str:
-        return self.engine.trace_digest()
-
-    # ------------------------------------------------------------------
-    # event helpers
-    # ------------------------------------------------------------------
-    def _queue_flits(self, time: int, seq: int, msg_id: int) -> int:
+    def _queue_flits(self, msg: MessageRecord) -> int:
         """Handle an injection: queue the message's flits at its source
-        router and return that router's index, or deliver them at once
-        on the ideal fabric and return -1."""
-        msg = self.messages[msg_id]
-        self.engine.trace_lines.append(
-            f"{time}.{seq} inject m{msg_id} {msg.src}>{msg.dst} "
-            f"f{msg.flits} b{msg.nbytes}"
-        )
+        router and return that router's index, or -1 on the ideal
+        fabric, where the caller delivers them at once."""
         self._flits_injected += msg.flits
-        self._undelivered[msg_id] = set(range(msg.flits))
+        self._undelivered[msg.msg_id] = set(range(msg.flits))
         if self.topology.ideal:
-            for index in range(msg.flits):
-                self._deliver(msg_id, index, time, seq)
             return -1
         endpoints = self.topology.endpoints
         src = self._router_index[endpoints[msg.src]]
         dst = self._router_index[endpoints[msg.dst]]
         router = self._routers[src]
-        router.inject_q.extend((msg_id, i, dst) for i in range(msg.flits))
+        router.inject_q.extend((msg.msg_id, i, dst) for i in range(msg.flits))
         router.max_inject_depth = max(
             router.max_inject_depth, len(router.inject_q)
         )
         return src
 
-    def _deliver(self, msg_id: int, index: int, time: int, seq: int) -> None:
+    def _deliver(self, msg_id: int, index: int, time: int) -> None:
         left = self._undelivered.get(msg_id)
         if left is None or index not in left:
             self._duplicates += 1
@@ -500,17 +645,23 @@ class NetworkSimulator:
             if not left:
                 del self._undelivered[msg_id]
         self._flits_delivered += 1
-        self.engine.trace_lines.append(
-            f"{time}.{seq} deliver m{msg_id}.{index}"
-        )
-        msg = self.messages[msg_id]
+        msg = self.messages.get(msg_id)
+        if msg is None:  # a duplicate of a message already delivered
+            return
         msg.delivered_flits += 1
         if msg.delivered_flits == msg.flits:
             msg.delivered_at = time
+            if not self.record_orders:
+                del self.messages[msg_id]
 
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
+    @property
+    def message_count(self) -> int:
+        """Messages injected over the simulator's lifetime."""
+        return self._next_msg_id
+
     @property
     def flits_injected(self) -> int:
         return self._flits_injected
@@ -578,7 +729,7 @@ class NetworkSimulator:
             "buffer_flits": self.buffer_flits,
             "cycles": self.engine.now,
             "events": self.engine.events_handled,
-            "messages": len(self.messages),
+            "messages": self.message_count,
             "flits_injected": self._flits_injected,
             "flits_delivered": self._flits_delivered,
             "flits_dropped": self.flits_dropped,

@@ -131,7 +131,7 @@ def test_cluster(capsys):
     out = capsys.readouterr().out
     assert "dropped=0" in out
     assert "correct=True" in out
-    assert "3 node(s)" in out
+    assert "3 node(s) x2 replication" in out
 
 
 def test_cluster_json_with_faults(capsys):
@@ -147,3 +147,12 @@ def test_cluster_json_with_faults(capsys):
     # the plan and placement travel with the report for auditability
     assert payload["plan"]["rows"] == 24
     assert payload["placement"]["replication"] == 2
+
+
+def test_cluster_rejects_replication_outside_its_nodes(capsys):
+    """An explicit replication the nodes cannot hold is a usage error:
+    exit 2 with the reason on stderr and no report."""
+    assert main(["cluster", "--nodes", "2", "--replication", "5", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "replication must be in 1..nodes (2), got 5" in captured.err

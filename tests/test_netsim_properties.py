@@ -1,6 +1,6 @@
 """Property battery for the interconnect simulator (ISSUE 10).
 
-Four families of statements about :mod:`repro.hw.netsim` that must hold
+Five families of statements about :mod:`repro.hw.netsim` that must hold
 for *every* topology, load, and parameterization — not just the shapes
 the cluster layer happens to generate:
 
@@ -13,6 +13,8 @@ the cluster layer happens to generate:
 * **determinism** — a run is a pure function of the injected workload:
   same load, same trace digest, event for event; and the digest is
   sensitive enough to distinguish different loads;
+* **replay** — a repeated drain replayed from the memo leaves every
+  statistic and the trace digest exactly where simulating it would;
 * **ideal-fabric equivalence** — attaching the infinite-bandwidth
   ``ideal`` topology to a cluster run changes *nothing*: zero network
   cycles, identical report, identical plan, bit-identical ciphertexts
@@ -86,11 +88,14 @@ def _run_load(kind, nodes, transfers, flit_bytes=32, buffer_flits=3,
 )
 @settings(max_examples=40, deadline=None)
 def test_flit_conservation(kind, nodes, transfers, flit_bytes, buffer_flits):
-    """Every injected flit arrives exactly once on every fabric."""
+    """Every injected flit arrives exactly once on every fabric.  The
+    simulator keeps delivered messages' records only while it records
+    orders, so this run records them."""
     sim = _run_load(
         kind, nodes, transfers,
-        flit_bytes=flit_bytes, buffer_flits=buffer_flits,
+        flit_bytes=flit_bytes, buffer_flits=buffer_flits, record_orders=True,
     )
+    assert len(sim.messages) == sim.message_count
     assert sim.flits_injected >= len(sim.messages)  # >= 1 flit per message
     assert sim.flits_delivered == sim.flits_injected
     assert sim.flits_dropped == 0
@@ -176,6 +181,67 @@ def test_different_loads_produce_different_traces():
     sim_a = _run_load("mesh", 4, [(0, 1, 256)])
     sim_b = _run_load("mesh", 4, [(0, 2, 256)])
     assert sim_a.trace_digest() != sim_b.trace_digest()
+
+
+_DRAIN_LIST = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=400),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(
+    kind=st.sampled_from(list(TOPOLOGY_KINDS)),
+    nodes=st.integers(min_value=2, max_value=5),
+    pool=st.lists(_DRAIN_LIST, min_size=1, max_size=3),
+    drains=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),
+            st.sampled_from(["scatter", "failover", "gather"]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_replayed_drains_match_simulated_drains(kind, nodes, pool, drains):
+    """Drains drawn from a small pool of injected lists, so lists repeat:
+    the replaying simulator and one that simulates every drain (it
+    records orders) agree after every drain on the cycles, every
+    statistic and the trace digest.  The last drain repeats the first
+    list, so every load replays at least once."""
+    topology = build_topology(
+        kind, list(range(nodes)), bandwidth=8, latency=2
+    )
+    replaying = NetworkSimulator(topology, flit_bytes=32, buffer_flits=3)
+    reference = NetworkSimulator(
+        topology, flit_bytes=32, buffer_flits=3, record_orders=True
+    )
+    eps = _endpoints(nodes)
+    for choice, phase in drains + [drains[0]]:
+        cycles = []
+        for sim in (replaying, reference):
+            sim.begin_phase(phase)
+            for src_i, dst_i, nbytes in pool[choice % len(pool)]:
+                src = eps[src_i % len(eps)]
+                dst = eps[dst_i % len(eps)]
+                if src == dst:
+                    dst = eps[(dst_i + 1) % len(eps)]
+                sim.inject(src, dst, nbytes)
+            cycles.append(sim.drain())
+        assert cycles[0] == cycles[1]
+        assert replaying.stats() == reference.stats()
+        assert replaying.phase_stats() == reference.phase_stats()
+        assert replaying.link_utilization() == reference.link_utilization()
+        assert replaying.trace_digest() == reference.trace_digest()
+        # delivered messages leave no record behind
+        assert replaying.messages == {}
+    assert replaying.replayed_drains > 0
+    assert reference.replayed_drains == 0
 
 
 def test_engine_orders_same_cycle_events_by_schedule_order():

@@ -371,15 +371,18 @@ def test_submit_refuses_a_server_that_is_not_running(scheme128, matrix8, cts8):
         ("serve", "max_batch", 0),
         ("serve", "max_retries", -1),
         ("cluster", "max_retries", -1),
+        ("cluster", "replication", 0),
+        ("cluster", "replication", 2),
     ],
 )
 def test_configs_reject_values_that_break_their_policy(
     scheme128, matrix8, layer, field, value
 ):
     """queue_capacity 0 would make the admission queue unbounded,
-    max_batch 0 would silently mean batches of one, and a negative
-    retry budget would make one attempt in serve and none in the
-    cluster: each raises at construction."""
+    max_batch 0 would silently mean batches of one, a negative retry
+    budget would make one attempt in serve and none in the cluster, and
+    a replication outside 1..nodes cannot be placed as asked: each
+    raises at construction."""
     with pytest.raises(ValueError, match=field):
         if layer == "serve":
             HmvpServer(scheme128, matrix8, ServeConfig(engines=1, **{field: value}))
