@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterExecutor
-from repro.hw.netsim import NetworkSimulator, SimulatorEngine
+from repro.hw.netsim import _PUMP, NetworkSimulator, SimulatorEngine
 from repro.hw.topology import (
     COORDINATOR,
     TOPOLOGY_KINDS,
@@ -242,6 +242,25 @@ def test_replayed_drains_match_simulated_drains(kind, nodes, pool, drains):
         assert replaying.messages == {}
     assert replaying.replayed_drains > 0
     assert reference.replayed_drains == 0
+
+
+def test_a_drain_with_a_foreign_event_pending_is_simulated():
+    """An event scheduled on the engine besides the drain's injections
+    makes the drain depend on more than its injected list, so it is
+    simulated even though the same list drained before, and it matches
+    a simulator that never replays."""
+    topology = build_topology("ring", [0, 1, 2], bandwidth=8)
+    replaying = NetworkSimulator(topology)
+    reference = NetworkSimulator(topology, record_orders=True)
+    for sim in (replaying, reference):
+        for extra_pump in (False, True):
+            sim.inject(COORDINATOR, 1, 512)
+            if extra_pump:
+                sim.engine.schedule(sim.now + 3, (_PUMP, 0, None))
+            sim.drain()
+    assert replaying.replayed_drains == 0
+    assert replaying.stats() == reference.stats()
+    assert replaying.trace_digest() == reference.trace_digest()
 
 
 def test_engine_orders_same_cycle_events_by_schedule_order():
