@@ -14,13 +14,18 @@ The node set is fixed for an executor's lifetime: nodes ``0..K-1``
 host every shard's replicas from construction on, and a node hang is
 absorbed by failover to a replica, never by changing the node set.
 
+The fabric has one model: a :class:`CommSpec` builds the
+:class:`repro.hw.netsim.NetworkSimulator` the executor ships every
+request's traffic through, and the planner prices a candidate grid by
+replaying the executor's own fault-free inject/drain calls on a fresh
+simulator of the same spec.
+
 Entry points: ``repro cluster`` on the CLI, ``benchmarks/bench_cluster.py``
 for the scale-out numbers, and ``docs/ARCHITECTURE.md`` sections 9 and 13
 for the partitioning algebra and the interconnect.
 """
 
 from .executor import ClusterConfig, ClusterExecutor, ClusterReport, ShardOutcome
-from .interconnect import ClusterInterconnect
 from .partition import (
     CommSpec,
     PartitionError,
@@ -33,7 +38,6 @@ from .placement import ClusterNode, ShardPlacement, build_nodes
 
 __all__ = [
     "CommSpec",
-    "ClusterInterconnect",
     "PartitionError",
     "Shard",
     "PartitionPlan",

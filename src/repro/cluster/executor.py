@@ -23,6 +23,15 @@
   through :func:`repro.he.packing.pack_stacked_lwes` — the output RLWE
   ciphertext is bit-identical to the unsharded engine's, per limb.
 
+With a topology, the executor builds one :class:`CommSpec` from its
+:class:`ClusterConfig` and one lifetime
+:class:`~repro.hw.netsim.NetworkSimulator` from it, and moves every
+phase through :func:`~repro.cluster.partition.drain_phase`: the
+:func:`~repro.cluster.partition.scatter_sends` of the shards' primaries,
+failover resends, and the partials back.  The planner replays the same
+calls for a fault-free request, so it prices the traffic the executor
+ships; the simulator's clock is the report's ``network_cycles``.
+
 The differential and metamorphic suites
 (``tests/test_cluster_differential.py`` /
 ``tests/test_cluster_properties.py``) pin both halves of that claim.
@@ -31,7 +40,7 @@ The differential and metamorphic suites
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,16 +51,18 @@ from ..he.bfv import BfvScheme
 from ..he.packing import pack_stacked_lwes
 from ..he.rlwe import RlweCiphertext
 from ..hw.arch import ChamConfig, cham_default_config
+from ..hw.netsim import NetworkSimulator
 from ..hw.runtime import FaultInjector, offload
 from ..hw.topology import COORDINATOR
 from ..math.modular import modadd_vec
-from .interconnect import ClusterInterconnect
 from .partition import (
     CommSpec,
     PartitionError,
     PartitionPlan,
     PartitionPlanner,
     Shard,
+    drain_phase,
+    scatter_sends,
 )
 from .placement import ClusterNode, ShardPlacement, build_nodes
 
@@ -65,8 +76,6 @@ __all__ = [
 #: per-request failover budget in *simulated* milliseconds when
 #: ``execute`` is given none
 DEADLINE_MS = 60_000.0
-#: input-buffer depth per fabric link (credit count)
-NET_BUFFER_FLITS = 4
 
 
 @dataclass
@@ -132,10 +141,11 @@ class ClusterReport:
     estimated_single_node_cycles: int
     plan: Dict[str, object] = field(default_factory=dict)
     placement: Dict[str, object] = field(default_factory=dict)
-    #: cycles the coordinator spent blocked on ciphertext movement
-    #: (0 with no interconnect attached, and on the ideal fabric)
+    #: cycles the coordinator spent blocked on ciphertext movement: the
+    #: fabric simulator's clock (0 without a topology, and on the ideal
+    #: fabric)
     network_cycles: int = 0
-    #: lifetime interconnect stats ({} with no interconnect attached)
+    #: lifetime fabric stats ({} without a topology)
     network: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -263,19 +273,20 @@ class ClusterExecutor:
         self.rows, self.cols = (int(x) for x in matrix.shape)
         self.cham = cham or cham_default_config()
         ring = scheme.params.n
-        limbs = len(scheme.ctx.ct_basis)
-        comm: Optional[CommSpec] = None
+        #: the one fabric description; None keeps comm free (the
+        #: calibration point the netsim property suite compares the
+        #: ideal fabric against)
+        self.comm: Optional[CommSpec] = None
         if self.config.topology is not None:
-            comm = CommSpec(
+            self.comm = CommSpec(
                 kind=self.config.topology,
                 bandwidth=self.config.link_bandwidth,
                 latency=self.config.link_latency,
                 flit_bytes=self.config.flit_bytes,
-                buffer_flits=NET_BUFFER_FLITS,
-                ct_limbs=limbs,
+                ct_limbs=len(scheme.ctx.ct_basis),
             )
         self.planner = PartitionPlanner(
-            ring, engine=self.cham.engine, comm=comm
+            ring, engine=self.cham.engine, comm=self.comm
         )
         if plan is None:
             plan = self.planner.plan(
@@ -312,24 +323,13 @@ class ClusterExecutor:
             fault_rate=self.config.fault_rate,
             register_flip_rate=self.config.register_flip_rate,
         )
-        #: event-driven interconnect; None keeps comm free (the
-        #: historical behavior, and the calibration point the netsim
-        #: property suite compares the ideal fabric against)
-        self.interconnect: Optional[ClusterInterconnect] = None
-        if self.config.topology is not None:
-            self.interconnect = ClusterInterconnect(
-                self.config.topology,
-                placement.node_ids,
-                bandwidth=self.config.link_bandwidth,
-                latency=self.config.link_latency,
-                flit_bytes=self.config.flit_bytes,
-                buffer_flits=NET_BUFFER_FLITS,
-            )
-        #: exact gather payload per shard: the partial is one (L, rows)
-        #: b plus one (L, rows, n) a, both uint64
-        self._shard_gather_bytes: Dict[int, int] = {
-            s.shard_id: limbs * s.rows * (1 + ring) * 8 for s in plan.shards
-        }
+        #: the lifetime fabric simulator (None without a topology)
+        self.net: Optional[NetworkSimulator] = (
+            self.comm.simulator(placement.nodes) if self.comm else None
+        )
+        self._primaries = [
+            placement.nodes_for(s.shard_id)[0] for s in plan.shards
+        ]
         #: per-request hoisted-tile bytes by shard (set at scatter time)
         self._current_scatter_bytes: Dict[int, int] = {}
         self._single_node_cycles_per_request = sum(costs)
@@ -371,14 +371,14 @@ class ClusterExecutor:
 
     def _transfer_cycles(self, shard: Shard, node_id: int) -> int:
         """Idle-fabric cycles to move a shard's tiles in and partial out."""
-        if self.interconnect is None:
+        if self.net is None or self.comm is None:
             return 0
-        return self.interconnect.estimate_transfer_cycles(
-            COORDINATOR,
+        return self.net.idle_transfer_cycles(
+            COORDINATOR, node_id, self._current_scatter_bytes[shard.shard_id]
+        ) + self.net.idle_transfer_cycles(
             node_id,
-            self._current_scatter_bytes.get(shard.shard_id, 0),
-        ) + self.interconnect.estimate_transfer_cycles(
-            node_id, COORDINATOR, self._shard_gather_bytes[shard.shard_id]
+            COORDINATOR,
+            self.comm.gather_partial_bytes(shard.rows, self.plan.ring_n),
         )
 
     def _offload_shard(self, shard: Shard, deadline_ms: float) -> ShardOutcome:
@@ -428,18 +428,27 @@ class ClusterExecutor:
 
     # -- network charging --------------------------------------------------
     #
-    # The interconnect changes *pricing only*: every method below is a
-    # no-op without a topology, and none of them touches ciphertext
-    # values or RNG streams — the differential suite pins that results
-    # stay per-limb bit-identical across fabrics.
+    # The fabric changes *pricing only*: every method below is a no-op
+    # without a topology, and none of them touches ciphertext values or
+    # RNG streams — the differential suite pins that results stay
+    # per-limb bit-identical across fabrics.
+
+    def _ship(self, phase: str, sends: List[Tuple[int, int, int]]) -> None:
+        """Drain one phase of ``(src, dst, nbytes)`` sends."""
+        assert self.net is not None
+        with obs.span(f"cluster.net.{phase}") as net_span:
+            cycles = drain_phase(self.net, phase, sends)
+            net_span.set(cycles=cycles, messages=len(sends))
+            obs.inc("cluster.net.cycles", cycles)
 
     def _charge_scatter(self, hoisted: Sequence[np.ndarray]) -> None:
         """Move each hoisted ciphertext tile to the shards' primaries.
 
-        A (node, tile) pair is charged once even when several shards on
-        that node share the tile — the payload is the actual hoisted
-        ndarray bytes, flit-quantized by the simulator.
+        The sends are :func:`scatter_sends`; the payload is the actual
+        hoisted ndarray bytes, flit-quantized by the simulator.
         """
+        if self.net is None:
+            return
         ring = self.plan.ring_n
         tile_bytes = [int(h.nbytes) for h in hoisted]
         self._current_scatter_bytes = {
@@ -448,48 +457,25 @@ class ClusterExecutor:
             )
             for s in self.plan.shards
         }
-        if self.interconnect is None:
-            return
-        with obs.span("cluster.net.scatter") as net_span:
-            self.interconnect.begin_phase("scatter")
-            sent: Set[Tuple[int, int]] = set()
-            for shard in self.plan.shards:
-                primary = self.placement.nodes_for(shard.shard_id)[0]
-                t0, t1 = shard.tile_range(ring)
-                for t in range(t0, t1):
-                    if (primary, t) in sent:
-                        continue
-                    sent.add((primary, t))
-                    self.interconnect.inject(
-                        COORDINATOR, primary, tile_bytes[t], tag=f"tile{t}"
-                    )
-            cycles = self.interconnect.drain("scatter")
-            net_span.set(cycles=cycles, messages=len(sent))
-            obs.inc("cluster.net.cycles", cycles)
+        self._ship(
+            "scatter",
+            [
+                (COORDINATOR, node, tile_bytes[t])
+                for node, t in scatter_sends(self.plan, self._primaries)
+            ],
+        )
 
     def _charge_failover(self, outcomes: Sequence[ShardOutcome]) -> None:
         """Re-send ciphertext tiles to replicas that took over a shard."""
-        if self.interconnect is None:
+        if self.net is None:
             return
         resends = [
-            o
+            (COORDINATOR, o.node_id, self._current_scatter_bytes[o.shard_id])
             for o in outcomes
             if o.rerouted and not o.degraded and o.node_id is not None
         ]
-        if not resends:
-            return
-        with obs.span("cluster.net.failover") as net_span:
-            self.interconnect.begin_phase("failover")
-            for o in resends:
-                self.interconnect.inject(
-                    COORDINATOR,
-                    o.node_id,
-                    self._current_scatter_bytes.get(o.shard_id, 0),
-                    tag=f"re{o.shard_id}",
-                )
-            cycles = self.interconnect.drain("failover")
-            net_span.set(cycles=cycles, messages=len(resends))
-            obs.inc("cluster.net.cycles", cycles)
+        if resends:
+            self._ship("failover", resends)
 
     def _charge_gather(
         self,
@@ -501,28 +487,29 @@ class ClusterExecutor:
         CPU-degraded shards computed on the coordinator's fallback lane,
         so they have nothing to ship.
         """
-        if self.interconnect is None:
+        if self.net is None:
             return
-        with obs.span("cluster.net.gather") as net_span:
-            self.interconnect.begin_phase("gather")
-            messages = 0
-            for o in outcomes:
-                if o.degraded or o.node_id is None:
-                    continue
-                b, a = partials[o.shard_id]
-                self.interconnect.inject(
-                    o.node_id,
-                    COORDINATOR,
-                    int(b.nbytes) + int(a.nbytes),
-                    tag=f"g{o.shard_id}",
-                )
-                messages += 1
-            cycles = self.interconnect.drain("gather")
-            net_span.set(cycles=cycles, messages=messages)
-            obs.inc("cluster.net.cycles", cycles)
-            obs.set_gauge(
-                "cluster.net.total_cycles", self.interconnect.total_cycles
-            )
+        sends = []
+        for o in outcomes:
+            if o.degraded or o.node_id is None:
+                continue
+            b, a = partials[o.shard_id]
+            sends.append((o.node_id, COORDINATOR, int(b.nbytes) + int(a.nbytes)))
+        self._ship("gather", sends)
+        obs.set_gauge("cluster.net.total_cycles", self.net.now)
+
+    def _network_block(self) -> Dict[str, object]:
+        """Lifetime fabric stats for the ``ClusterReport``."""
+        assert self.net is not None and self.comm is not None
+        block = self.net.stats()
+        block["links"] = dict(sorted(block["links"].items()))
+        block.update(
+            ideal=self.net.topology.ideal,
+            bandwidth=self.comm.bandwidth,
+            latency=self.comm.latency,
+            trace_sha256=self.net.trace_digest(),
+        )
+        return block
 
     # -- the exact data path ----------------------------------------------
 
@@ -674,14 +661,6 @@ class ClusterExecutor:
             ),
             plan=self.plan.to_dict(),
             placement=self.placement.to_dict(),
-            network_cycles=(
-                self.interconnect.total_cycles
-                if self.interconnect is not None
-                else 0
-            ),
-            network=(
-                self.interconnect.network_block()
-                if self.interconnect is not None
-                else {}
-            ),
+            network_cycles=self.net.now if self.net is not None else 0,
+            network=self._network_block() if self.net is not None else {},
         )

@@ -12,11 +12,19 @@ reproduction:
   tiles (the unit the vector encryption fixes);
 * :class:`PartitionPlan` — a validated row-cut x column-cut grid of
   shards covering the matrix exactly;
+* :class:`CommSpec` — the cluster's one fabric description, which
+  builds the network simulator for the planner and the executor alike;
+* :func:`lpt_hosts` — the one LPT placement policy, shared by the
+  planner's estimates and :class:`repro.cluster.placement.ShardPlacement`;
+* :func:`scatter_sends` — the one list of a request's scatter sends,
+  and :func:`drain_phase`, the one way a phase of sends reaches the
+  simulator;
 * :class:`PartitionPlanner` — builds plans from a cycle-accurate cost
   model (:class:`repro.hw.pipeline.MacroPipeline`, the same simulator
-  :class:`repro.hw.runtime.FpgaRuntime` prices jobs with), searching
-  row/column band counts for the least estimated makespan over ``K``
-  nodes.
+  :class:`repro.hw.runtime.FpgaRuntime` prices jobs with) plus, with a
+  :class:`CommSpec`, a replay of the executor's own fault-free traffic,
+  searching row/column band counts for the least estimated makespan
+  over ``K`` nodes.
 
 The algebra that makes any valid plan exact is in
 ``docs/ARCHITECTURE.md`` section 9: column cuts must land on ciphertext
@@ -28,7 +36,7 @@ row-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +52,9 @@ __all__ = [
     "PartitionPlan",
     "PartitionPlanner",
     "balanced_cuts",
+    "drain_phase",
+    "lpt_hosts",
+    "scatter_sends",
 ]
 
 
@@ -53,14 +64,16 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class CommSpec:
-    """Interconnect parameters the planner prices candidate grids with.
+    """The cluster's one fabric description.
 
-    Mirrors the :class:`repro.cluster.executor.ClusterConfig` network
-    knobs plus the ciphertext geometry needed to size payloads without
-    touching live arrays: a hoisted scatter tile is two ``(L+1, n)``
-    uint64 components, a gathered partial is one ``(L, rows)`` b plus
-    one ``(L, rows, n)`` a.  With ``kind="ideal"`` every transfer costs
-    zero cycles, so the planner's choices match the comm-free search
+    The :class:`repro.cluster.executor.ClusterExecutor` builds one from
+    its :class:`~repro.cluster.executor.ClusterConfig` and runs its
+    lifetime simulator on it; the planner prices candidate grids on the
+    same spec.  The ciphertext geometry sizes payloads without touching
+    live arrays: a hoisted scatter tile is two ``(L+1, n)`` uint64
+    components, a gathered partial is one ``(L, rows)`` b plus one
+    ``(L, rows, n)`` a.  With ``kind="ideal"`` every transfer costs
+    zero cycles, so the planner's choices match the compute-only search
     exactly.
     """
 
@@ -68,17 +81,24 @@ class CommSpec:
     bandwidth: int = 64
     latency: int = 4
     flit_bytes: int = 64
-    buffer_flits: int = 4
-    arity: int = 2
     #: ciphertext-modulus limb count L (augmented basis is L + 1)
     ct_limbs: int = 2
-    coeff_bytes: int = 8
+
+    def simulator(self, nodes: int) -> NetworkSimulator:
+        """A fresh simulator over this fabric, wiring nodes ``0..nodes-1``."""
+        topology = build_topology(
+            self.kind,
+            list(range(nodes)),
+            bandwidth=self.bandwidth,
+            latency=self.latency,
+        )
+        return NetworkSimulator(topology, flit_bytes=self.flit_bytes)
 
     def scatter_tile_bytes(self, ring_n: int) -> int:
-        return 2 * (self.ct_limbs + 1) * ring_n * self.coeff_bytes
+        return 2 * (self.ct_limbs + 1) * ring_n * 8
 
     def gather_partial_bytes(self, rows: int, ring_n: int) -> int:
-        return self.ct_limbs * rows * (1 + ring_n) * self.coeff_bytes
+        return self.ct_limbs * rows * (1 + ring_n) * 8
 
 
 @dataclass(frozen=True)
@@ -225,6 +245,65 @@ class PartitionPlan:
         }
 
 
+def lpt_hosts(
+    costs: Sequence[int], nodes: int, copies: int = 1
+) -> Tuple[List[List[int]], List[int]]:
+    """LPT greedy placement of shards onto nodes ``0..nodes-1``.
+
+    Longest shard first (equal costs by shard index) onto the
+    least-loaded node; then ``copies - 1`` replicas onto the
+    least-loaded nodes not yet holding it.  Every load tie breaks by
+    node id, and replicas add no load, so the primaries do not depend
+    on ``copies``.  Returns each shard's hosts, primary first, in shard
+    order, and the per-node primary loads.
+    """
+    loads = [0] * nodes
+    hosts: List[List[int]] = [[] for _ in costs]
+    for idx in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        primary = min(range(nodes), key=lambda n: (loads[n], n))
+        loads[primary] += costs[idx]
+        chosen = hosts[idx] = [primary]
+        while len(chosen) < copies:
+            chosen.append(
+                min(
+                    (n for n in range(nodes) if n not in chosen),
+                    key=lambda n: (loads[n], n),
+                )
+            )
+    return hosts, loads
+
+
+def scatter_sends(
+    plan: PartitionPlan, primaries: Sequence[int]
+) -> List[Tuple[int, int]]:
+    """A request's scatter sends as ``(node, tile)`` pairs.
+
+    One per distinct (primary node, ciphertext tile), in shard order: a
+    node holding two shards that read the same tile receives it once.
+    ``primaries`` holds each shard's primary node, in shard order.
+    """
+    sends: Dict[Tuple[int, int], None] = {}
+    for shard, node in zip(plan.shards, primaries):
+        for tile in range(*shard.tile_range(plan.ring_n)):
+            sends[(node, tile)] = None
+    return list(sends)
+
+
+def drain_phase(
+    sim: NetworkSimulator, phase: str, sends: Sequence[Tuple[int, int, int]]
+) -> int:
+    """Inject ``(src, dst, nbytes)`` sends as one phase and drain them.
+
+    The planner's replay and the executor both move traffic through
+    here, so they make the same simulator calls.  Returns the cycles the
+    drain took.
+    """
+    sim.begin_phase(phase)
+    for src, dst, nbytes in sends:
+        sim.inject(src, dst, nbytes)
+    return sim.drain()
+
+
 class PartitionPlanner:
     """Cost-model-driven planner over row/column band counts.
 
@@ -234,7 +313,7 @@ class PartitionPlanner:
     actually runs, so the planner's makespan estimate and the executor's
     measured makespan share one model.  The search is tiny (row bands x
     column bands, both bounded), and the estimate for a candidate grid
-    is an LPT greedy placement over ``nodes`` — the same policy
+    is the :func:`lpt_hosts` placement over ``nodes`` — the policy
     :meth:`repro.cluster.placement.ShardPlacement.place` applies.
     """
 
@@ -251,8 +330,7 @@ class PartitionPlanner:
             raise PartitionError("ring degree must be positive")
         self.ring_n = ring_n
         self._pipeline = MacroPipeline(engine or EngineConfig())
-        #: interconnect pricing; None keeps the historical compute-only
-        #: scoring (equivalent to passing ``comm_free=True`` everywhere)
+        #: fabric the grids are priced on; None scores compute only
         self.comm = comm
         self._comm_cache: Dict[Tuple, int] = {}
 
@@ -269,44 +347,18 @@ class PartitionPlanner:
 
     def estimate_makespan(self, plan: PartitionPlan, nodes: int) -> int:
         """LPT greedy lower bound on the plan's *compute* makespan."""
-        loads = [0] * max(nodes, 1)
-        for cost in sorted(self.plan_cost_cycles(plan), reverse=True):
-            idx = min(range(len(loads)), key=loads.__getitem__)
-            loads[idx] += cost
+        _, loads = lpt_hosts(self.plan_cost_cycles(plan), max(nodes, 1))
         return max(loads)
 
-    def _lpt_assignment(
-        self, plan: PartitionPlan, nodes: int
-    ) -> Dict[int, int]:
-        """Shard id -> node id under the same LPT policy placement uses.
-
-        Mirrors :meth:`repro.cluster.placement.ShardPlacement.place`:
-        longest shard first onto the least-loaded node, ties by
-        ``(load, node_id)`` then shard id.
-        """
-        costs = self.plan_cost_cycles(plan)
-        loads = {nid: 0 for nid in range(max(nodes, 1))}
-        order = sorted(
-            range(len(plan.shards)),
-            key=lambda i: (-costs[i], plan.shards[i].shard_id),
-        )
-        assignment: Dict[int, int] = {}
-        for idx in order:
-            node = min(loads, key=lambda n: (loads[n], n))
-            loads[node] += costs[idx]
-            assignment[plan.shards[idx].shard_id] = node
-        return assignment
-
     def estimate_comm_cycles(self, plan: PartitionPlan, nodes: int) -> int:
-        """Simulated network cycles for one request of this plan.
+        """Simulated network cycles for one fault-free request of this plan.
 
-        Replays the executor's scatter/gather traffic for the candidate
-        grid through the *actual* event simulator on the planner's
-        :class:`CommSpec` fabric: hoisted ciphertext tiles out to each
-        shard's LPT-assigned node (deduplicated per (node, tile), like
-        the real scatter), LWE partials back.  Zero without a
-        :class:`CommSpec` and on the ideal fabric, so attaching an
-        infinite-bandwidth network never changes a planning decision.
+        Makes the executor's own inject/drain calls on a fresh simulator
+        of the planner's :class:`CommSpec`: the :func:`scatter_sends` of
+        each shard's LPT primary, then every shard's LWE partial back.
+        Zero without a :class:`CommSpec` and on the ideal fabric, so
+        attaching an infinite-bandwidth network never changes a planning
+        decision.
         """
         if self.comm is None:
             return 0
@@ -315,54 +367,29 @@ class PartitionPlanner:
         if cached is not None:
             return cached
         spec = self.comm
-        topology = build_topology(
-            spec.kind,
-            list(range(max(nodes, 1))),
-            bandwidth=spec.bandwidth,
-            latency=spec.latency,
-            arity=spec.arity,
-        )
-        sim = NetworkSimulator(
-            topology,
-            flit_bytes=spec.flit_bytes,
-            buffer_flits=spec.buffer_flits,
-        )
-        assignment = self._lpt_assignment(plan, nodes)
+        nodes = max(nodes, 1)
+        sim = spec.simulator(nodes)
+        hosts, _ = lpt_hosts(self.plan_cost_cycles(plan), nodes)
+        primaries = [h[0] for h in hosts]
         tile_bytes = spec.scatter_tile_bytes(self.ring_n)
-        sim.begin_phase("scatter")
-        sent: Set[Tuple[int, int]] = set()
-        for shard in plan.shards:
-            node = assignment[shard.shard_id]
-            for t in range(*shard.tile_range(plan.ring_n)):
-                if (node, t) in sent:
-                    continue
-                sent.add((node, t))
-                sim.inject(COORDINATOR, node, tile_bytes)
-        cycles = sim.drain()
-        sim.begin_phase("gather")
-        for shard in plan.shards:
-            sim.inject(
-                assignment[shard.shard_id],
-                COORDINATOR,
-                spec.gather_partial_bytes(shard.rows, self.ring_n),
-            )
-        cycles += sim.drain()
+        cycles = drain_phase(
+            sim,
+            "scatter",
+            [
+                (COORDINATOR, node, tile_bytes)
+                for node, _ in scatter_sends(plan, primaries)
+            ],
+        )
+        cycles += drain_phase(
+            sim,
+            "gather",
+            [
+                (node, COORDINATOR, spec.gather_partial_bytes(s.rows, self.ring_n))
+                for s, node in zip(plan.shards, primaries)
+            ],
+        )
         self._comm_cache[key] = cycles
         return cycles
-
-    def estimate_total_cycles(
-        self, plan: PartitionPlan, nodes: int, comm_free: bool = False
-    ) -> int:
-        """Compute makespan plus the communication term.
-
-        ``comm_free=True`` is the escape hatch recovering the historical
-        compute-only score (also the behavior when no :class:`CommSpec`
-        is attached).
-        """
-        total = self.estimate_makespan(plan, nodes)
-        if not comm_free:
-            total += self.estimate_comm_cycles(plan, nodes)
-        return total
 
     def plan_from_cuts(
         self,
@@ -385,7 +412,6 @@ class PartitionPlanner:
         rows: int,
         cols: int,
         nodes: int = 1,
-        comm_free: bool = False,
     ) -> PartitionPlan:
         """Search band counts for the least estimated total cycles.
 
@@ -395,8 +421,8 @@ class PartitionPlanner:
         plus the :class:`CommSpec` communication term — splitting rows
         multiplies scatter traffic (each shard needs its full ciphertext
         tiles), so grids that win on compute balance alone can lose on a
-        bandwidth-limited fabric.  ``comm_free=True`` (or no comm spec)
-        recovers the historical compute-only search.  Ties prefer
+        bandwidth-limited fabric; without a comm spec the score is the
+        compute makespan alone.  Ties prefer
         *fewer* shards — each extra shard adds merge traffic and (for
         row splits of a pack tile) central pack work the estimate does
         not price — then the earlier grid in enumeration order.  Only
@@ -440,9 +466,9 @@ class PartitionPlanner:
         for makespan, shards, index in bounds:
             if best is not None and (makespan, shards, index) > best:
                 break
-            total = makespan
-            if not comm_free:
-                total += self.estimate_comm_cycles(candidates[index], nodes)
+            total = makespan + self.estimate_comm_cycles(
+                candidates[index], nodes
+            )
             if best is None or (total, shards, index) < best:
                 best = (total, shards, index)
         assert best is not None  # search space is never empty

@@ -9,10 +9,11 @@ hosted there (primary or replica) — the same engine-pool shape
 processes.
 
 :class:`ShardPlacement` assigns every shard a primary node and
-``replication - 1`` replicas on distinct nodes.  Primaries are placed by
-LPT greedy (longest shard first onto the least-loaded node, the policy
-:class:`repro.cluster.partition.PartitionPlanner` estimates with);
-replicas go to the least-loaded nodes not already holding the shard.
+``replication - 1`` replicas on distinct nodes by
+:func:`repro.cluster.partition.lpt_hosts`, the policy
+:class:`repro.cluster.partition.PartitionPlanner` estimates with:
+primaries LPT greedy (longest shard first onto the least-loaded node),
+replicas onto the least-loaded nodes not already holding the shard.
 Ties between equal-load nodes break by **node id**, explicitly, so
 plans never depend on container iteration order.  Replicas encode the
 shard into their node's cache at placement time, so failover never pays
@@ -32,7 +33,7 @@ from ..core.batch import BatchedHmvp, EncodedMatrixCache
 from ..he.bfv import BfvScheme
 from ..hw.arch import ChamConfig, cham_default_config
 from ..hw.runtime import FaultInjector, FpgaRuntime, HealthReport
-from .partition import PartitionError, PartitionPlan
+from .partition import PartitionError, PartitionPlan, lpt_hosts
 
 __all__ = [
     "ClusterNode",
@@ -89,13 +90,13 @@ class ShardPlacement:
     ) -> "ShardPlacement":
         """LPT-greedy primaries plus least-loaded distinct replicas.
 
-        All load ties break by ``(load, node_id)`` so the plan is a pure
+        The policy is :func:`repro.cluster.partition.lpt_hosts`; all
+        load ties break by ``(load, node_id)`` so the plan is a pure
         function of ``(plan, nodes, costs)`` — stable across Python
         versions and container ordering.
         """
         if nodes < 1:
             raise PartitionError("need at least one node")
-        node_ids = range(nodes)
         if not 1 <= replication <= nodes:
             raise PartitionError(
                 f"replication {replication} must be in 1..nodes ({nodes})"
@@ -107,24 +108,10 @@ class ShardPlacement:
         )
         if len(costs) != len(plan.shards):
             raise PartitionError("one cost per shard required")
-        loads = {nid: 0 for nid in node_ids}
-        # replicas add standby load only; bias placement by primary load
-        assignments: Dict[int, List[int]] = {}
-        order = sorted(
-            range(len(plan.shards)),
-            key=lambda i: (-costs[i], plan.shards[i].shard_id),
-        )
-        for idx in order:
-            primary = min(node_ids, key=lambda n: (loads[n], n))
-            loads[primary] += costs[idx]
-            chosen = [primary]
-            while len(chosen) < replication:
-                replica = min(
-                    (n for n in node_ids if n not in chosen),
-                    key=lambda n: (loads[n], n),
-                )
-                chosen.append(replica)
-            assignments[plan.shards[idx].shard_id] = chosen
+        hosts, _ = lpt_hosts(costs, nodes, copies=replication)
+        assignments = {
+            shard.shard_id: chosen for shard, chosen in zip(plan.shards, hosts)
+        }
         return cls(assignments, nodes=nodes, replication=replication)
 
     def nodes_for(self, shard_id: int) -> List[int]:

@@ -63,9 +63,7 @@ from .trace import (
 )
 from .memory import JobTraffic, StagingBuffer, job_traffic, sustained_bandwidth
 from .power import PowerModel, energy_per_hmvp
-from .validation import ConsistencyReport, validate_consistency
 from .compare import Accelerator, KNOWN_ACCELERATORS, cham_entry, comparison_rows
-from .isa import Command, CommandStream, Opcode, StreamExecutor, compile_hmvp
 from .runtime import (
     DeviceHangError,
     FaultInjector,
@@ -143,8 +141,6 @@ __all__ = [
     "job_traffic",
     "sustained_bandwidth",
     "PowerModel",
-    "ConsistencyReport",
-    "validate_consistency",
     "Accelerator",
     "KNOWN_ACCELERATORS",
     "cham_entry",
@@ -159,11 +155,6 @@ __all__ = [
     "SlrPlan",
     "auto_floorplan",
     "plan_cham",
-    "Command",
-    "CommandStream",
-    "Opcode",
-    "StreamExecutor",
-    "compile_hmvp",
     "DeviceHangError",
     "FaultInjector",
     "FpgaRuntime",

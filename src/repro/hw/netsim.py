@@ -95,7 +95,6 @@ class MessageRecord:
     nbytes: int
     flits: int
     phase: str
-    tag: str
     injected_at: int
     delivered_flits: int = 0
     delivered_at: Optional[int] = None
@@ -269,7 +268,8 @@ class NetworkSimulator:
         must leave a spare downstream slot, so the cycle can never
         completely fill and deadlock.  In-channel transit and acyclic
         links need only one credit.  Raises :class:`TopologyError` for
-        an unroutable pair or a link without bandwidth.
+        an unroutable pair (the topology rejects a link without
+        bandwidth when it is built).
         """
         link = self.topology.next_link(
             self._router_names[router], self._router_names[dst]
@@ -316,7 +316,7 @@ class NetworkSimulator:
         self._phase = str(name)
         self._phase_row()
 
-    def inject(self, src: int, dst: int, nbytes: int, tag: str = "") -> int:
+    def inject(self, src: int, dst: int, nbytes: int) -> int:
         """Queue a DMA-style message injection at the current cycle."""
         if src not in self.topology.endpoints:
             raise TopologyError(f"unknown source endpoint {src}")
@@ -335,7 +335,6 @@ class NetworkSimulator:
             nbytes=nbytes,
             flits=nflits,
             phase=self._phase,
-            tag=tag,
             injected_at=self.engine.now,
         )
         self._next_msg_id += 1
@@ -382,6 +381,23 @@ class NetworkSimulator:
     def trace_digest(self) -> str:
         """sha256 chained over every drain's relative event trace."""
         return self._digest.hex()
+
+    def idle_transfer_cycles(self, src: int, dst: int, nbytes: int) -> int:
+        """Contention-free cycles for one message (deadline math).
+
+        Serialization on the tightest link along the path plus the sum
+        of hop latencies — what the message costs on an otherwise idle
+        fabric.  Zero on the ideal topology, matching its actual cost,
+        and for an empty payload.
+        """
+        path = self.topology.route(src, dst)
+        if not path or nbytes <= 0:
+            return 0
+        nflits = max(1, -(-int(nbytes) // self.flit_bytes))
+        bottleneck = max(
+            link.serialization_cycles(self.flit_bytes) for link in path
+        )
+        return nflits * bottleneck + sum(link.latency for link in path)
 
     # ------------------------------------------------------------------
     # drain helpers

@@ -86,8 +86,6 @@ class Link:
 
     def serialization_cycles(self, nbytes: int) -> int:
         """Cycles the link stays busy shifting ``nbytes`` out."""
-        if self.bandwidth <= 0:
-            raise TopologyError(f"link {self.name} has no bandwidth")
         return max(1, -(-int(nbytes) // self.bandwidth))
 
 
@@ -124,6 +122,16 @@ class Topology:
             if link.link_id in seen_ids:
                 raise TopologyError(f"duplicate link id {link.link_id}")
             seen_ids.add(link.link_id)
+            if link.bandwidth < 1:
+                raise TopologyError(
+                    f"link {link.name} has bandwidth {link.bandwidth}; "
+                    "need at least 1 byte per cycle"
+                )
+            if link.latency < 0:
+                raise TopologyError(
+                    f"link {link.name} has latency {link.latency}; "
+                    "need at least 0 cycles"
+                )
         if not self.ideal:
             self._build_routing()
 

@@ -180,12 +180,19 @@ def hmvp_oracle(
     return HmvpResult(packs=packs, rows=m, cols=n_cols)
 
 
+def plan_total_cycles(
+    planner: PartitionPlanner, plan: PartitionPlan, nodes: int
+) -> int:
+    """A grid's planner score: compute makespan plus network cycles."""
+    makespan = planner.estimate_makespan(plan, nodes)
+    return makespan + planner.estimate_comm_cycles(plan, nodes)
+
+
 def plan_exhaustive(
     planner: PartitionPlanner,
     rows: int,
     cols: int,
     nodes: int = 1,
-    comm_free: bool = False,
 ) -> PartitionPlan:
     """Score every candidate grid's total; least ``(total, shards)`` wins,
     the earliest enumerated grid on exact ties."""
@@ -207,9 +214,7 @@ def plan_exhaustive(
                 col_cuts=col_cuts,
             )
             key = (
-                planner.estimate_total_cycles(
-                    candidate, nodes, comm_free=comm_free
-                ),
+                plan_total_cycles(planner, candidate, nodes),
                 len(candidate.shards),
             )
             if best is None or key < (best[0], best[1]):

@@ -149,10 +149,24 @@ def test_cluster_json_with_faults(capsys):
     assert payload["placement"]["replication"] == 2
 
 
-def test_cluster_rejects_replication_outside_its_nodes(capsys):
-    """An explicit replication the nodes cannot hold is a usage error:
-    exit 2 with the reason on stderr and no report."""
-    assert main(["cluster", "--nodes", "2", "--replication", "5", "--json"]) == 2
+@pytest.mark.parametrize(
+    "flags,reason",
+    [
+        (
+            ["--nodes", "2", "--replication", "5"],
+            "replication must be in 1..nodes (2), got 5",
+        ),
+        (
+            ["--topology", "ring", "--latency", "-1"],
+            "link r0->r1 has latency -1",
+        ),
+    ],
+    ids=["replication-outside-nodes", "negative-link-latency"],
+)
+def test_cluster_usage_errors(capsys, flags, reason):
+    """A setting the cluster cannot honour is a usage error: exit 2
+    with the reason on stderr and no report."""
+    assert main(["cluster", *flags, "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "replication must be in 1..nodes (2), got 5" in captured.err
+    assert reason in captured.err

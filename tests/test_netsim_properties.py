@@ -285,6 +285,11 @@ def test_injection_validates_endpoints():
         sim.inject(1, 1, 64)
     with pytest.raises(ValueError, match="buffer_flits"):
         NetworkSimulator(topology, buffer_flits=1)
+    # a bad link fails when the fabric is built, not at its first drain
+    with pytest.raises(TopologyError, match=r"link r0->r1 has latency -1"):
+        build_topology("ring", [0, 1, 2], latency=-1)
+    with pytest.raises(TopologyError, match=r"link m0_0->m1_0 has bandwidth 0"):
+        build_topology("mesh", [0, 1, 2, 3], bandwidth=0)
 
 
 # -- ideal-fabric equivalence --------------------------------------------
@@ -342,14 +347,10 @@ def test_ideal_topology_reproduces_free_comm_exactly(scheme128):
 def test_estimate_transfer_cycles_monotone_in_payload():
     """Bigger payloads never cost fewer cycles, and the ideal fabric
     prices everything at zero."""
-    from repro.cluster import ClusterInterconnect
-
-    ring = ClusterInterconnect("ring", [0, 1, 2, 3], bandwidth=8)
+    ring = NetworkSimulator(build_topology("ring", [0, 1, 2, 3], bandwidth=8))
     sizes = [0, 64, 1024, 65536]
-    costs = [ring.estimate_transfer_cycles(0, 2, s) for s in sizes]
+    costs = [ring.idle_transfer_cycles(0, 2, s) for s in sizes]
     assert costs == sorted(costs)
     assert costs[-1] > costs[1] > 0
-    ideal = ClusterInterconnect("ideal", [0, 1, 2, 3])
-    assert all(
-        ideal.estimate_transfer_cycles(0, 2, s) == 0 for s in sizes
-    )
+    ideal = NetworkSimulator(build_topology("ideal", [0, 1, 2, 3]))
+    assert all(ideal.idle_transfer_cycles(0, 2, s) == 0 for s in sizes)

@@ -121,3 +121,45 @@ def test_eight_pe_engine_halves_cycles():
         .total_cycles
     )
     assert fast == pytest.approx(base / 2, rel=0.05)
+
+
+def _padded_tree(rows):
+    """Reductions of the pack tree padded to a power of two (0 for one row)."""
+    return (1 << (rows - 1).bit_length()) - 1
+
+
+@pytest.mark.parametrize(
+    "rows,col_tiles",
+    [(1, 1), (2, 1), (7, 1), (16, 1), (16, 3), (100, 2), (256, 1),
+     (1000, 1), (4096, 1)],
+)
+def test_pipeline_counts_match_the_pack_tree(pipe, rows, col_tiles):
+    """One dot product per row and tile, the padded tree's reductions,
+    and never fewer cycles than the serial work of the slower unit."""
+    stats = pipe.simulate_hmvp(rows, col_tiles)
+    assert stats.dot_products == rows * col_tiles
+    assert stats.reductions == _padded_tree(rows)
+    engine = EngineConfig()
+    assert stats.total_cycles >= max(
+        stats.dot_products * engine.dot_product_interval,
+        stats.reductions * engine.pack_interval,
+    )
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(8, 128), (6, 300)], ids=["8x128", "6x300"]
+)
+def test_functional_op_count_matches_the_pipeline(
+    pipe, scheme128, rng, rows, cols
+):
+    """A real engine run tallies the dot products the pipeline schedules,
+    the padded tree's reductions and one LWE addition per extra tile."""
+    from repro.core.batch import BatchedHmvp, encrypt_tiles
+
+    a = rng.integers(-10, 10, (rows, cols))
+    v = rng.integers(-10, 10, cols)
+    ops = BatchedHmvp.once(scheme128, a, encrypt_tiles(scheme128, v)).ops
+    tiles = -(-cols // scheme128.params.n)
+    assert ops.dot_products == pipe.simulate_hmvp(rows, tiles).dot_products
+    assert ops.pack_reductions == _padded_tree(rows)
+    assert ops.lwe_additions == rows * (tiles - 1)
