@@ -8,6 +8,8 @@ Reproduces:
 * the constant-geometry vs stage-variant-mux ablation (DESIGN.md §5).
 """
 
+import time
+
 import numpy as np
 import pytest
 from conftest import print_table, record_result
@@ -16,9 +18,9 @@ from repro.hw.arch import NttUnitConfig, cham_default_config
 from repro.hw.ntt_datapath import NttDatapathSim
 from repro.hw.perf import ChamPerfModel, CpuCostModel, GpuCostModel
 from repro.hw.resources import ntt_unit_resources
-from repro.math.cg_ntt import CgNtt, cg_ntt_cycles
-from repro.math.ntt import NegacyclicNtt
-from repro.math.primes import CHAM_Q0
+from repro.math.cg_ntt import cg_ntt_cycles
+from repro.math.ntt import NegacyclicNtt, fused_limb_ntt
+from repro.math.primes import CHAM_P, CHAM_Q0, CHAM_Q1
 
 #: Table III reference rows: (latency, parallelism, ATP, LUT, BRAM, LBP)
 TABLE3_PAPER = {
@@ -141,18 +143,60 @@ def test_ablation_bfu_scaling():
 # -- kernel timings -------------------------------------------------------------------
 
 
-@pytest.mark.benchmark(group="ntt")
-def test_perf_gold_ntt_4096(benchmark, rng):
-    ctx = NegacyclicNtt(4096, CHAM_Q0)
-    a = rng.integers(0, CHAM_Q0, 4096, dtype=np.uint64)
-    benchmark(ctx.forward, a)
+#: the stacks the workloads transform at N = 4096 over the augmented
+#: basis: a key-switch digit stack (L_aug, L digits, 2 polynomials) and
+#: an encode stack (L_aug, 8 matrix rows)
+KERNEL_SHAPES = {"digits": (3, 2, 2, 4096), "encode": (3, 8, 4096)}
 
 
-@pytest.mark.benchmark(group="ntt")
-def test_perf_cg_ntt_4096(benchmark, rng):
-    ctx = CgNtt(4096, CHAM_Q0)
-    a = rng.integers(0, CHAM_Q0, 4096, dtype=np.uint64)
-    benchmark(ctx.forward, a)
+def test_fused_ntt_wall_rate(rng):
+    """Wall-clock rate of the fused NTT kernel, recorded for the perfcheck
+    gate.
+
+    Forward and inverse transforms of the two stacks are timed
+    interleaved, in one process, after a warm-up, as the workloads call
+    them; a standalone loop over fresh temporaries would also time page
+    faults the workloads do not pay.  Rates count one limb of one
+    polynomial as one transform.  ``benchmarks/floors.json`` pins floors
+    that the stage-variant merged Cooley-Tukey loops fall below.
+    """
+    moduli = (CHAM_Q0, CHAM_Q1, CHAM_P)
+    kernel = fused_limb_ntt(4096, moduli)
+    stacks = {
+        name: np.stack([rng.integers(0, q, shape[1:], dtype=np.uint64) for q in moduli])
+        for name, shape in KERNEL_SHAPES.items()
+    }
+    calls = [
+        (f"{way}_per_s_{name}", fn, x)
+        for name, x in stacks.items()
+        for way, fn in (("forward", kernel.forward), ("inverse", kernel.inverse))
+    ]
+    for _name, fn, x in calls:
+        fn(x)  # warm the tables and the allocator
+    seconds = {name: 0.0 for name, _fn, _x in calls}
+    rounds = 0
+    t_end = time.perf_counter() + 1.0
+    while rounds < 5 or time.perf_counter() < t_end:
+        for name, fn, x in calls:
+            t0 = time.perf_counter()
+            fn(x)
+            seconds[name] += time.perf_counter() - t0
+        rounds += 1
+    rates = {
+        name: rounds * x.size // x.shape[-1] / seconds[name] for name, _fn, x in calls
+    }
+    print_table(
+        "Fused NTT kernel wall rate (N=4096, 3 limbs)",
+        ["stack", "transforms/s"],
+        [(name, f"{rate:,.0f}") for name, rate in rates.items()],
+    )
+    record_result(
+        "ntt_kernel",
+        rates,
+        params={"n": 4096, "limbs": len(moduli), "rounds": rounds,
+                "shapes": {k: list(v) for k, v in KERNEL_SHAPES.items()}},
+    )
+    assert all(rate > 0 for rate in rates.values())
 
 
 @pytest.mark.benchmark(group="ntt")

@@ -1,4 +1,4 @@
-"""Shared HE context: randomness, samplers and per-limb NTT caches.
+"""Shared HE context: randomness, samplers and the NTT kernel helpers.
 
 Every HE object (keys, ciphertexts, the HMVP engine) references one
 :class:`CheContext`.  The context owns
@@ -7,17 +7,18 @@ Every HE object (keys, ciphertexts, the HMVP engine) references one
 * a seeded :class:`numpy.random.Generator` (reproducible experiments),
 * samplers for the three RLWE distributions (uniform, ternary secret,
   centered discrete Gaussian error),
-* cached :class:`~repro.math.ntt.NegacyclicNtt` objects per modulus, and
-* helpers that apply per-limb NTT transforms to RNS limb stacks.
+* helpers that apply the cached fused-limb NTT kernel
+  (:class:`~repro.math.ntt.FusedLimbNtt`) to RNS limb stacks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..math.ntt import FusedLimbNtt, NegacyclicNtt, fused_limb_ntt
+from ..math.modular import modmul_vec
+from ..math.ntt import FusedLimbNtt, fused_limb_ntt
 from ..math.rns import RnsBasis
 from .params import CheParams
 
@@ -30,17 +31,8 @@ class CheContext:
     def __init__(self, params: CheParams, seed: Optional[int] = None) -> None:
         self.params = params
         self.rng = np.random.default_rng(seed)
-        self._ntts: Dict[int, NegacyclicNtt] = {}
 
     # -- NTT machinery -----------------------------------------------------------
-
-    def ntt(self, q: int) -> NegacyclicNtt:
-        """The cached negacyclic NTT context for modulus ``q``."""
-        ctx = self._ntts.get(q)
-        if ctx is None:
-            ctx = NegacyclicNtt(self.params.n, q)
-            self._ntts[q] = ctx
-        return ctx
 
     def fused_ntt(self, basis: RnsBasis) -> FusedLimbNtt:
         """The cached fused-limb NTT context for a whole basis."""
@@ -62,10 +54,12 @@ class CheContext:
     def negacyclic_multiply(
         self, a: np.ndarray, b: np.ndarray, basis: RnsBasis
     ) -> np.ndarray:
-        """Per-limb negacyclic product of two limb stacks."""
-        return np.stack(
-            [self.ntt(q).multiply(a[i], b[i]) for i, q in enumerate(basis)]
-        )
+        """Per-limb negacyclic product of two ``(L, n)`` limb stacks: one
+        fused forward transform of both operands, one fused inverse."""
+        kernel = self.fused_ntt(basis)
+        both = kernel.forward(np.stack([a, b], axis=1))
+        q = basis.modulus_column.reshape(-1, 1)
+        return kernel.inverse(modmul_vec(both[:, 0], both[:, 1], q))
 
     # -- samplers ------------------------------------------------------------------
 

@@ -337,13 +337,10 @@ def encrypt_pk(
 
 def decrypt(ctx: CheContext, sk: SecretKey, ct: RlweCiphertext) -> Plaintext:
     """BFV decryption: ``round(t * phase / (basis product)) mod t``."""
-    phase = ct.phase(sk)
+    phase = ct.phase(sk)  # exact centered Python ints (object array)
     modulus = ct.basis.product
     t = ctx.t
-    coeffs = np.empty(ctx.n, dtype=np.uint64)
-    for i, v in enumerate(phase):
-        num = int(v) * t
-        # round-to-nearest division, correct for negative numerators
-        m = (2 * num + modulus) // (2 * modulus)
-        coeffs[i] = m % t
-    return Plaintext(coeffs, t)
+    # round-to-nearest division; floor division of Python ints is
+    # correct for negative numerators
+    rounded = (2 * t * phase + modulus) // (2 * modulus)
+    return Plaintext((rounded % t).astype(np.uint64), t)

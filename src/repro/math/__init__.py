@@ -1,10 +1,11 @@
 """Arithmetic substrate: modular/NTT/polynomial/RNS building blocks.
 
 Everything in :mod:`repro.he` and :mod:`repro.hw` is built on top of this
-package.  The two NTT implementations — the gold-model merged Cooley-Tukey
-transform (:mod:`repro.math.ntt`) and the constant-geometry Pease network
-of the paper's Algorithm 4 (:mod:`repro.math.cg_ntt`) — are interchangeable
-and cross-validated.
+package.  Every NTT runs one kernel, the constant-geometry Pease network
+of the paper's Algorithm 4 over whole RNS limb stacks
+(:mod:`repro.math.ntt`); :mod:`repro.math.cg_ntt` is its hardware-facing
+view (twiddle ROM schedule, cycle count).  The merged Cooley-Tukey gold
+model it is pinned to lives in ``tests/oracles.py``.
 """
 
 from .modular import (

@@ -1,39 +1,23 @@
 """Constant-geometry (Pease) negacyclic NTT — Algorithm 4 of the paper.
 
-Every stage of a constant-geometry NTT reads the butterfly pair
-``(a[j], a[j + N/2])`` and writes the results to ``(ā[2j], ā[2j+1])``;
-the read/write geometry never changes between stages, which is what lets
-CHAM wire a *fixed* datapath between the BFUs and the RAM banks instead of
-the stage-variant multiplexer trees that HEAX needs (Section IV-A1).
-
-The price is that the twiddle factor consumed by butterfly ``j`` in stage
-``i`` follows a permuted schedule.  Rather than hard-coding a closed form,
-:func:`constant_geometry_schedule` *derives* the schedule from the standard
-merged Cooley-Tukey NTT by tracking the data permutation ``π_i`` between
-the two networks:
-
-* invariant: CG state ``A_i[k] = C_i[π_i[k]]`` where ``C_i`` is the
-  Cooley-Tukey state;
-* ``π_{i+1}[2j] = π_i[j]`` and ``π_{i+1}[2j+1] = π_i[j] + t_i``;
-* the twiddle for CG butterfly ``j`` is the CT twiddle of block
-  ``π_i[j] >> (log2 N - i)``.
-
-This yields a provably-equivalent network (tested against the gold model
-and against schoolbook convolution), plus the exact per-stage twiddle ROM
-layout of Fig. 4, which :mod:`repro.hw.ntt_datapath` consumes to model the
-per-BFU ROM banks.
+Every stage reads the butterfly pair ``(a[j], a[j + N/2])`` and writes
+``(ā[2j], ā[2j+1])``; the fixed geometry lets CHAM wire one datapath
+between the BFUs and the RAM banks instead of the stage-variant
+multiplexer trees HEAX needs (Section IV-A1).  The software kernel
+(:class:`repro.math.ntt.FusedLimbNtt`) runs exactly this network; this
+module is its hardware-facing view: the twiddle ROM layout of Fig. 4
+(:class:`CgSchedule`, read by :mod:`repro.hw.ntt_datapath`), the
+one-limb unit :class:`CgNtt` and the cycle count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List
 
 import numpy as np
 
-from .modular import modadd_vec, modinv, modmul_vec, modsub_vec
-from .ntt import _tables, freeze_array  # twiddle tables shared with the gold model
+from .ntt import NegacyclicNtt, _tables, constant_geometry_index, fused_limb_ntt
 
 __all__ = [
     "CgSchedule",
@@ -58,7 +42,8 @@ class CgSchedule:
         Element-wise inverses, consumed by the mirrored inverse network.
     output_perm:
         Permutation ``σ`` with ``cg_output[k] = gold_output[σ[k]]`` where
-        the gold output is the merged-CT bit-reversed-order NTT.
+        the gold output is the merged-CT bit-reversed-order NTT (the
+        derivation yields the identity).
     n_inv:
         ``n^{-1} mod q`` (final inverse-transform scaling).
     """
@@ -92,107 +77,44 @@ class CgSchedule:
         ]
 
 
-@lru_cache(maxsize=None)
 def constant_geometry_schedule(n: int, q: int) -> CgSchedule:
-    """Derive the CG twiddle schedule and output permutation for ``(n, q)``."""
-    if n & (n - 1) or n < 2:
-        raise ValueError(f"n={n} must be a power of two >= 2")
-    psis, _inv_psis, n_inv = _tables(n, q)
-    log_n = n.bit_length() - 1
-    half = n // 2
+    """The CG twiddle schedule and output permutation for ``(n, q)``.
 
-    twiddles = np.empty((log_n, half), dtype=np.uint64)
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(log_n):
-        t = n >> (i + 1)
-        m = 1 << i
-        block = perm[:half] >> (log_n - i)  # CT block index of each butterfly
-        twiddles[i] = psis[m + block]
-        nxt = np.empty(n, dtype=np.int64)
-        nxt[0::2] = perm[:half]
-        nxt[1::2] = perm[:half] + t
-        perm = nxt
-
-    inv_twiddles = np.empty_like(twiddles)
-    for i in range(log_n):
-        inv_twiddles[i] = np.array(
-            [modinv(int(w), q) for w in twiddles[i]], dtype=np.uint64
-        )
+    The twiddle tables are read-only views of the cached one-limb
+    kernel's stage tables, not copies.
+    """
+    kernel = fused_limb_ntt(n, (int(q),))
+    _index, perm = constant_geometry_index(n)
     return CgSchedule(
         n=n,
         q=q,
-        twiddles=freeze_array(twiddles),
-        inv_twiddles=freeze_array(inv_twiddles),
-        output_perm=freeze_array(perm),
-        n_inv=n_inv,
+        twiddles=kernel.twiddles[:, 0],
+        inv_twiddles=kernel.inv_twiddles[:, 0],
+        output_perm=perm,
+        n_inv=_tables(n, int(q))[2],
     )
 
 
-class CgNtt:
+class CgNtt(NegacyclicNtt):
     """Functional model of CHAM's constant-geometry NTT/INTT unit.
 
-    The forward network runs Algorithm 4; the inverse network is the exact
-    mirror (reads ``(2j, 2j+1)``, writes ``(j, j+n/2)``) so that
-    ``inverse(forward(a)) == a`` without any reordering pass — matching the
-    hardware, where NTT and INTT units share the ping-pong RAM geometry.
+    The one-limb view of the kernel (which runs Algorithm 4, with the
+    inverse as the exact mirror: reads ``(2j, 2j+1)``, writes
+    ``(j, j+n/2)``), plus the derived :attr:`schedule` the hardware
+    model reads.  ``inverse(forward(a)) == a`` without any reordering
+    pass — matching the hardware, where NTT and INTT units share the
+    ping-pong RAM geometry.
     """
 
     def __init__(self, n: int, q: int) -> None:
-        self.n = n
-        self.q = q
+        super().__init__(n, q)
         self.schedule = constant_geometry_schedule(n, q)
-
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        """Constant-geometry forward NTT (Alg. 4); CG-permuted output."""
-        n, q = self.n, self.q
-        a = np.asarray(a, dtype=np.uint64)
-        if a.shape[-1] != n:
-            raise ValueError(f"last axis must have length {n}")
-        shape = a.shape
-        work = a.reshape(-1, n)
-        half = n // 2
-        for i in range(self.schedule.stages):
-            w = self.schedule.twiddles[i][None, :]
-            u = work[:, :half]
-            v = modmul_vec(work[:, half:], w, q)
-            out = np.empty_like(work)
-            out[:, 0::2] = modadd_vec(u, v, q)
-            out[:, 1::2] = modsub_vec(u, v, q)
-            work = out
-        return work.reshape(shape)
-
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`forward` (mirrored constant geometry)."""
-        n, q = self.n, self.q
-        a = np.asarray(a, dtype=np.uint64)
-        if a.shape[-1] != n:
-            raise ValueError(f"last axis must have length {n}")
-        shape = a.shape
-        work = a.reshape(-1, n)
-        half = n // 2
-        for i in range(self.schedule.stages - 1, -1, -1):
-            w_inv = self.schedule.inv_twiddles[i][None, :]
-            even = work[:, 0::2]
-            odd = work[:, 1::2]
-            out = np.empty_like(work)
-            out[:, :half] = modadd_vec(even, odd, q)
-            out[:, half:] = modmul_vec(modsub_vec(even, odd, q), w_inv, q)
-            work = out
-        # fold the 1/2-per-stage scaling into one multiply by n^{-1}
-        work = modmul_vec(work, np.uint64(self.schedule.n_inv), q)
-        return work.reshape(shape)
 
     def to_gold_order(self, a: np.ndarray) -> np.ndarray:
         """Re-index CG output into the gold model's bit-reversed order."""
         inv = np.empty(self.n, dtype=np.int64)
         inv[self.schedule.output_perm] = np.arange(self.n)
         return np.asarray(a, dtype=np.uint64)[..., inv]
-
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Negacyclic product via the CG transform pair."""
-        ha = self.forward(a)
-        hb = self.forward(b)
-        return self.inverse(modmul_vec(ha, hb, self.q))
 
 
 def cg_ntt_cycles(n: int, n_bfu: int) -> int:

@@ -1,23 +1,12 @@
-"""Reference negacyclic NTT (the software *gold model*).
+"""Negacyclic NTT: one constant-geometry kernel over RNS limb stacks.
 
-This module implements the merged-twiddle negacyclic NTT of Longa-Naehrig:
-
-* forward transform: Cooley-Tukey butterflies, natural-order input,
-  bit-reversed output;
-* inverse transform: Gentleman-Sande butterflies, bit-reversed input,
-  natural-order output, with the final scaling by ``n^{-1}``.
-
-Multiplying in the transform domain computes *negacyclic* convolution, i.e.
-multiplication in ``Z_q[X]/(X^N + 1)``, with no zero-padding — the ψ
-twisting factors are folded into the twiddle tables.
-
-The hardware datapath model (:mod:`repro.math.cg_ntt` and
-:mod:`repro.hw.ntt_datapath`) is validated against this implementation,
-and this implementation is itself validated against schoolbook negacyclic
-convolution in the test-suite.
-
-All functions accept arrays of shape ``(..., n)`` and transform the last
-axis; everything is vectorized NumPy ``uint64``.
+Every transform runs :class:`FusedLimbNtt`, the constant-geometry (Pease)
+network of the paper's Algorithm 4 over a whole ``(L, ..., n)`` limb
+stack; :class:`NegacyclicNtt` is its one-limb view.  The twiddle schedule
+is derived from the merged Cooley-Tukey network, with the ψ twisting
+factors folded in, so outputs are in its bit-reversed slot order and
+pointwise products compute multiplication in ``Z_q[X]/(X^N + 1)``.  The
+merged CT/GS loops live on in ``tests/oracles.py`` as the gold oracle.
 """
 
 from __future__ import annotations
@@ -28,12 +17,13 @@ from typing import Tuple
 import numpy as np
 
 from ..obs.metrics import REGISTRY as _METRICS
-from .modular import modadd_vec, modinv, modmul_vec, modsub_vec
+from .modular import MAX_MODULUS_BITS, modinv, modmul_vec
 from .primes import negacyclic_psi
 
 __all__ = [
     "bit_reverse",
     "bit_reverse_indices",
+    "constant_geometry_index",
     "freeze_array",
     "NegacyclicNtt",
     "FusedLimbNtt",
@@ -42,6 +32,10 @@ __all__ = [
     "intt",
     "negacyclic_convolution_schoolbook",
 ]
+
+#: The float twiddle quotients are scaled down by this factor, so the
+#: quotient estimate never exceeds the true quotient (see FusedLimbNtt).
+_QUOTIENT_BIAS = 1.0 - 2.0**-49
 
 
 def freeze_array(arr: np.ndarray) -> np.ndarray:
@@ -64,15 +58,34 @@ def bit_reverse(x: int, bits: int) -> int:
     return out
 
 
+def _log2(n: int) -> int:
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"n={n} must be a power of two >= 2")
+    return n.bit_length() - 1
+
+
 @lru_cache(maxsize=None)
 def bit_reverse_indices(n: int) -> np.ndarray:
     """Permutation array ``perm`` with ``perm[i] = bit_reverse(i, log2 n)``."""
     bits = n.bit_length() - 1
     if 1 << bits != n:
         raise ValueError(f"n={n} is not a power of two")
-    return freeze_array(
-        np.array([bit_reverse(i, bits) for i in range(n)], dtype=np.int64)
-    )
+    idx = np.arange(n, dtype=np.int64)
+    perm = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        perm |= ((idx >> b) & 1) << (bits - 1 - b)
+    return freeze_array(perm)
+
+
+def _powers(root: int, n: int, q: int) -> np.ndarray:
+    """``[root^0, root^1, ..., root^(n-1)] mod q`` by doubling."""
+    out = np.empty(n, dtype=np.uint64)
+    out[0] = 1
+    k, step = 1, root % q
+    while k < n:
+        out[k : 2 * k] = modmul_vec(out[:k], np.uint64(step), q)
+        k, step = 2 * k, pow(step, 2, q)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -80,188 +93,251 @@ def _tables(n: int, q: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """Merged twiddle tables.
 
     Returns ``(psis, inv_psis, n_inv)`` where ``psis[i] = ψ^brv(i)`` and
-    ``inv_psis[i] = ψ^{-brv(i)}`` (brv over ``log2 n`` bits), the layout
-    the merged CT/GS butterflies index as ``table[m + i]``.
+    ``inv_psis[i] = ψ^{-brv(i)}`` (brv over ``log2 n`` bits): the merged
+    Cooley-Tukey table the constant-geometry schedule gathers from.
     """
     psi = negacyclic_psi(n, q)
-    psi_inv = modinv(psi, q)
-    bits = n.bit_length() - 1
-    psis = np.empty(n, dtype=np.uint64)
-    inv_psis = np.empty(n, dtype=np.uint64)
-    for i in range(n):
-        r = bit_reverse(i, bits)
-        psis[i] = pow(psi, r, q)
-        inv_psis[i] = pow(psi_inv, r, q)
+    brv = bit_reverse_indices(n)
+    psis = _powers(psi, n, q)[brv]
+    inv_psis = _powers(modinv(psi, q), n, q)[brv]
     return freeze_array(psis), freeze_array(inv_psis), modinv(n, q)
 
 
-class NegacyclicNtt:
-    """Negacyclic NTT context for a fixed ``(n, q)`` pair.
+@lru_cache(maxsize=None)
+def constant_geometry_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Derive the constant-geometry schedule from the merged CT network.
 
-    Parameters
-    ----------
-    n:
-        Transform length; must be a power of two.
-    q:
-        Prime modulus with ``q ≡ 1 (mod 2n)``.
+    Returns ``(index, output_perm)``: ``index[i, j]`` is the position in
+    the merged table (``psis`` of :func:`_tables`) of the twiddle that
+    butterfly ``j`` consumes in stage ``i``, and ``output_perm`` is the
+    permutation ``σ`` with ``cg_output[k] = merged_output[σ[k]]``.
+
+    The derivation tracks the data permutation ``π_i`` between the two
+    networks:
+
+    * invariant: CG state ``A_i[k] = C_i[π_i[k]]`` where ``C_i`` is the
+      Cooley-Tukey state;
+    * CG reads ``(j, j + n/2)`` and writes ``(2j, 2j + 1)``, so
+      ``π_{i+1}[2j] = π_i[j]`` and ``π_{i+1}[2j+1] = π_i[j] + t_i``;
+    * the twiddle of CG butterfly ``j`` in stage ``i`` is the CT twiddle
+      of block ``π_i[j] >> (log2 n - i)``, at table index ``2^i + block``.
+
+    ``output_perm`` comes out as the identity: the CG network leaves its
+    output in the merged network's bit-reversed slot order.  The schedule
+    depends on ``n`` alone; a modulus only supplies the table it indexes.
     """
+    log_n = _log2(n)
+    half = n // 2
+    index = np.empty((log_n, half), dtype=np.int64)
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(log_n):
+        index[i] = (1 << i) + (perm[:half] >> (log_n - i))
+        nxt = np.empty(n, dtype=np.int64)
+        nxt[0::2] = perm[:half]
+        nxt[1::2] = perm[:half] + (n >> (i + 1))
+        perm = nxt
+    return freeze_array(index), freeze_array(perm)
 
-    def __init__(self, n: int, q: int) -> None:
-        if n & (n - 1) or n < 2:
-            raise ValueError(f"n={n} must be a power of two >= 2")
-        if q % (2 * n) != 1:
-            raise ValueError(f"q={q} is not ≡ 1 (mod {2 * n})")
-        self.n = n
-        self.q = q
-        self._psis, self._inv_psis, self._n_inv = _tables(n, q)
-        # per-stage twiddle views, hoisted out of the butterfly loop:
-        # contiguous (1, m, 1) slabs so no per-call slice/reshape/copy
-        self._fwd_stages = _stage_slabs(self._psis, forward=True)
-        self._inv_stages = _stage_slabs(self._inv_psis, forward=False)
 
-    # -- transforms ---------------------------------------------------------
+def _mul_lazy(
+    x: np.ndarray,
+    w: np.ndarray,
+    wq: np.ndarray,
+    q: np.ndarray,
+    out: np.ndarray,
+    est_f: np.ndarray,
+    est: np.ndarray,
+) -> None:
+    """``out = x * w mod q`` in ``[0, 2q)``, for ``x < 4q`` and a twiddle
+    ``w`` with its biased float quotient ``wq`` (see FusedLimbNtt)."""
+    np.multiply(x, wq, out=est_f)
+    np.copyto(est, est_f, casting="unsafe")  # non-negative: truncation is floor
+    est_u = est.view(np.uint64)
+    np.multiply(x, w, out=out)
+    est_u *= q
+    out -= est_u
 
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        """NTT of ``a`` (last axis), natural order in, bit-reversed out."""
-        n, q = self.n, self.q
-        a = np.ascontiguousarray(np.asarray(a, dtype=np.uint64))
-        if a.shape[-1] != n:
-            raise ValueError(f"last axis must have length {n}")
-        shape = a.shape
-        work = a.reshape(-1, n).copy()
-        for m, t, twiddle in self._fwd_stages:
-            blocks = work.reshape(work.shape[0], m, 2 * t)
-            # views are safe: the mod ops allocate fresh outputs, so both
-            # halves are computed before either assignment writes back
-            u = blocks[:, :, :t]
-            v = modmul_vec(blocks[:, :, t:], twiddle, q)
-            s = modadd_vec(u, v, q)
-            d = modsub_vec(u, v, q)
-            blocks[:, :, :t] = s
-            blocks[:, :, t:] = d
-        if _METRICS.enabled:
-            _METRICS.inc("math.ntt.forward", work.shape[0])
-        return work.reshape(shape)
 
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        """Inverse NTT of ``a`` (last axis), bit-reversed in, natural out."""
-        n, q = self.n, self.q
-        a = np.ascontiguousarray(np.asarray(a, dtype=np.uint64))
-        if a.shape[-1] != n:
-            raise ValueError(f"last axis must have length {n}")
-        shape = a.shape
-        work = a.reshape(-1, n).copy()
-        for m, t, twiddle in self._inv_stages:
-            blocks = work.reshape(work.shape[0], m, 2 * t)
-            u = blocks[:, :, :t]
-            v = blocks[:, :, t:]
-            s = modadd_vec(u, v, q)
-            d = modmul_vec(modsub_vec(u, v, q), twiddle, q)
-            blocks[:, :, :t] = s
-            blocks[:, :, t:] = d
-        work = modmul_vec(work, np.uint64(self._n_inv), q)
-        if _METRICS.enabled:
-            _METRICS.inc("math.ntt.inverse", work.shape[0])
-        return work.reshape(shape)
-
-    def pointwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficient-wise product in the transform domain (MULTPOLY)."""
-        if _METRICS.enabled:
-            _METRICS.inc("math.ntt.pointwise")
-        return modmul_vec(a, b, self.q)
-
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Negacyclic product ``a * b mod (X^n + 1, q)`` via NTT."""
-        return self.inverse(self.pointwise(self.forward(a), self.forward(b)))
+def _reduce_once(x: np.ndarray, bound: np.ndarray, tmp: np.ndarray) -> None:
+    """``x = x - bound if x >= bound`` in place, for ``x < 2 * bound``."""
+    np.subtract(x, bound, out=tmp)
+    np.minimum(x, tmp, out=x)
 
 
 class FusedLimbNtt:
-    """Negacyclic NTT over a whole RNS limb stack in one butterfly sweep.
+    """Negacyclic NTT over a whole RNS limb stack, on the paper's
+    constant-geometry schedule.
 
-    The per-limb :class:`NegacyclicNtt` path issues ``L`` separate
-    transforms per stack — ``L * log2(n)`` butterfly stages of small
-    NumPy calls whose interpreter overhead dominates at CHAM's ring
-    sizes.  This context stacks the merged twiddle tables of all ``L``
-    moduli into contiguous ``(L, 1, m, 1)`` per-stage slabs and runs
-    *one* butterfly sweep over the full ``(L, ..., n)`` stack, with the
-    per-limb modulus broadcast as a ``(L, 1, 1, 1)`` column through the
-    Barrett modmul.  Output is bit-identical per limb to the per-limb
-    path (same butterflies, same exact arithmetic) — the equivalence
-    suite pins it.
+    All limbs of an ``(L, ..., n)`` stack advance through the stages in
+    lock-step, the software mirror of CHAM's limb-parallel NTT lanes
+    (Section III-B).  The stack is read as ``(B, L, n)``; a forward
+    stage reads the contiguous halves ``(j, j + n/2)`` and writes
+    ``(2j, 2j + 1)`` into a fresh buffer, the inverse runs the mirror
+    and folds ``n^{-1}`` into its last stage.  Stage twiddles and their
+    float quotients are frozen ``(L, n/2)`` tables that broadcast over
+    ``B`` only.  Buffers are allocated per call and the input is only read, so
+    concurrent calls share nothing writable.  The schedule's output
+    permutation is the identity: slots are in the merged network's
+    bit-reversed order, bit-identical per limb to its outputs.
 
-    This is the software mirror of CHAM's limb-parallel NTT lanes
-    (Section III-B): all residue channels advance through the same
-    stage schedule in lock-step, which is also what makes the schedule
-    hazard-free in the HF-NTT sense — no cross-limb data dependencies.
+    *Lazy residues.*  Between stages residues lie in ``[0, 2q)``.  A
+    butterfly sum, or a difference taken as ``u - v + 2q``, lies in
+    ``[0, 4q)``, and one conditional subtraction of ``2q`` per output
+    (an unsigned minimum of ``x`` and ``x - 2q``) restores the range;
+    the last stage subtracts ``q``, so outputs are canonical.
+
+    *Float quotients.*  A twiddle product ``x * w mod q`` with ``x < 4q``
+    and ``w < q`` takes ``est = floor(fl(x * fl(w/q)))`` as its quotient.
+    With ``q < 2**41`` (:data:`~repro.math.modular.MAX_MODULUS_BITS`) the
+    true quotient ``x*w/q`` is below ``4q < 2**43`` and the estimate
+    carries three roundings of relative size ``2**-53``, an absolute
+    error below ``2**43 * 2**-51 < 1``: the estimate is within ±1 of the
+    true quotient ``Q``, and the raw residue ``x*w - est*q``, taken in
+    wrap-around ``uint64`` arithmetic, lies in ``(-q, 2q)``.  The quotient
+    tables are scaled down by ``1 - 2**-49``, which moves the estimate
+    below the true quotient by less than ``2**43 * 2**-48 < 1`` and
+    never above it, so ``est`` is ``Q - 1`` or ``Q`` and the residue
+    lies in ``[0, 2q)`` with no correction.  Hence the modulus cap: a
+    constructor rejects any modulus of ``2**41`` or more.
     """
 
     def __init__(self, n: int, moduli: Tuple[int, ...]) -> None:
         if not moduli:
             raise ValueError("need at least one modulus")
+        log_n = _log2(n)
         self.n = n
         self.moduli = tuple(int(q) for q in moduli)
+        for q in self.moduli:
+            if q.bit_length() > MAX_MODULUS_BITS:
+                raise ValueError(
+                    f"modulus {q} is {q.bit_length()} bits; the NTT kernel "
+                    f"supports at most {MAX_MODULUS_BITS}"
+                )
+            if q % (2 * n) != 1:
+                raise ValueError(f"q={q} is not ≡ 1 (mod {2 * n})")
+        index, _perm = constant_geometry_index(n)
         per_limb = [_tables(n, q) for q in self.moduli]
-        psis = np.stack([t[0] for t in per_limb])
-        inv_psis = np.stack([t[1] for t in per_limb])
-        self._n_inv = freeze_array(
-            np.array([t[2] for t in per_limb], dtype=np.uint64).reshape(-1, 1, 1)
-        )
-        # .copy() so the column owns its buffer: the modmul column cache
-        # resolves views to their read-only root array, and a root that
-        # is itself a view of a mutable temporary is not cacheable
-        self._q_col = freeze_array(
-            np.array(self.moduli, dtype=np.uint64).reshape(-1, 1, 1, 1).copy()
-        )
-        self._q_flat = freeze_array(self._q_col.reshape(-1, 1, 1))
-        self._fwd_stages = _stage_slabs(psis, forward=True, fused=True)
-        self._inv_stages = _stage_slabs(inv_psis, forward=False, fused=True)
+        q_f = np.array(self.moduli, dtype=np.float64).reshape(-1, 1)
+        # (stages, L, n/2) twiddle tables and their biased float quotients
+        self.twiddles = freeze_array(np.stack([t[0][index] for t in per_limb], axis=1))
+        self.inv_twiddles = freeze_array(np.stack([t[1][index] for t in per_limb], axis=1))
+        self._fwd_q = freeze_array(self.twiddles / q_f * _QUOTIENT_BIAS)
+        self._inv_q = freeze_array(self.inv_twiddles / q_f * _QUOTIENT_BIAS)
+        # the inverse's last stage mirrors forward stage 0, whose twiddle is
+        # the same for every butterfly; its sum half is scaled by n^-1 and
+        # its difference half by that twiddle's inverse times n^-1
+        n_inv = [t[2] for t in per_limb]
+        last = [
+            int(t[1][1]) * ni % q for t, ni, q in zip(per_limb, n_inv, self.moduli)
+        ]
+        self._n_inv = freeze_array(np.array(n_inv, dtype=np.uint64).reshape(-1, 1))
+        self._n_inv_q = freeze_array(self._n_inv / q_f * _QUOTIENT_BIAS)
+        self._last = freeze_array(np.array(last, dtype=np.uint64).reshape(-1, 1))
+        self._last_q = freeze_array(self._last / q_f * _QUOTIENT_BIAS)
+        self._q = freeze_array(np.array(self.moduli, dtype=np.uint64))
+        self._q_col = freeze_array(self._q.reshape(-1, 1))
+        self._q2_col = freeze_array(2 * self._q_col)
+        self._stages = log_n
 
-    def _check(self, a: np.ndarray) -> None:
+    def _check(self, a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a, dtype=np.uint64)
         if a.ndim < 2 or a.shape[0] != len(self.moduli) or a.shape[-1] != self.n:
             raise ValueError(
                 f"expected a ({len(self.moduli)}, ..., {self.n}) limb stack, "
                 f"got shape {a.shape}"
             )
+        return a
 
-    def _prepare(self, a: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        # one C-ordered copy, whatever the input's strides: the butterflies
-        # write into it in place
-        work = np.array(a, dtype=np.uint64, order="C")
-        self._check(work)
-        return work.reshape(len(self.moduli), -1, self.n), work.shape
+    def _layout(self, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``a`` as a ``(B, L, n)`` view, a fresh output stack shaped like
+        ``a``, and that output's ``(B, L, n)`` view."""
+        a = self._check(a)
+        limbs, n = len(self.moduli), self.n
+        polys = int(np.prod(a.shape[1:-1], dtype=np.int64))
+        out = np.empty(a.shape, dtype=np.uint64)
+        return (
+            a.reshape(limbs, polys, n).transpose(1, 0, 2),
+            out,
+            out.reshape(limbs, polys, n).transpose(1, 0, 2),
+        )
+
+    @staticmethod
+    def _buffers(last: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Ping-pong stage buffers: the output's view, where the last stage
+        writes, and one work stack."""
+        return last, np.empty(last.shape, dtype=np.uint64)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        """Forward NTT of every limb of a ``(L, ..., n)`` stack at once."""
-        work, shape = self._prepare(a)
-        q = self._q_col
-        for m, t, twiddle in self._fwd_stages:
-            blocks = work.reshape(work.shape[0], work.shape[1], m, 2 * t)
-            u = blocks[:, :, :, :t]
-            v = modmul_vec(blocks[:, :, :, t:], twiddle, q)
-            s = modadd_vec(u, v, q)
-            d = modsub_vec(u, v, q)
-            blocks[:, :, :, :t] = s
-            blocks[:, :, :, t:] = d
+        """Forward NTT of every limb of a ``(L, ..., n)`` stack at once;
+        natural order in, bit-reversed slot order out."""
+        x, out, last = self._layout(a)
+        polys, limbs, n = x.shape
+        h = n // 2
+        q, q2 = self._q_col, self._q2_col
+        buffers = self._buffers(last)
+        est_f = np.empty((polys, limbs, h))
+        est = np.empty((polys, limbs, h), dtype=np.int64)
+        tmp = est.view(np.uint64)
+        v = np.empty((polys, limbs, h), dtype=np.uint64)
+        s = np.empty_like(v)
+        for i in range(self._stages):
+            final = i == self._stages - 1
+            y = buffers[(self._stages - 1 - i) % 2]
+            lo, hi = x[..., :h], x[..., h:]
+            _mul_lazy(hi, self.twiddles[i], self._fwd_q[i], q, v, est_f, est)
+            bound = q2
+            if final:
+                bound = q
+                _reduce_once(v, q, tmp)
+                lo_c = est_f.view(np.uint64)
+                np.subtract(lo, q, out=lo_c)
+                np.minimum(lo, lo_c, out=lo_c)
+                lo = lo_c
+            np.add(lo, v, out=s)
+            np.subtract(s, bound, out=tmp)
+            np.minimum(s, tmp, out=y[..., 0::2])
+            np.subtract(lo, v, out=s)
+            np.add(s, bound, out=tmp)
+            np.minimum(s, tmp, out=y[..., 1::2])
+            x = y
         if _METRICS.enabled:
-            _METRICS.inc("math.ntt.forward", work.shape[0] * work.shape[1])
-        return work.reshape(shape)
+            _METRICS.inc("math.ntt.forward", polys * limbs)
+        return out
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        """Inverse NTT of every limb of a ``(L, ..., n)`` stack at once."""
-        work, shape = self._prepare(a)
-        q = self._q_col
-        for m, t, twiddle in self._inv_stages:
-            blocks = work.reshape(work.shape[0], work.shape[1], m, 2 * t)
-            u = blocks[:, :, :, :t]
-            v = blocks[:, :, :, t:]
-            s = modadd_vec(u, v, q)
-            d = modmul_vec(modsub_vec(u, v, q), twiddle, q)
-            blocks[:, :, :, :t] = s
-            blocks[:, :, :, t:] = d
-        work = modmul_vec(work, self._n_inv, self._q_flat)
+        """Inverse NTT of every limb of a ``(L, ..., n)`` stack at once;
+        bit-reversed slot order in, natural order out."""
+        x, out, last = self._layout(a)
+        polys, limbs, n = x.shape
+        h = n // 2
+        q, q2 = self._q_col, self._q2_col
+        buffers = self._buffers(last)
+        est_f = np.empty((polys, limbs, h))
+        est = np.empty((polys, limbs, h), dtype=np.int64)
+        tmp = est.view(np.uint64)
+        d = np.empty((polys, limbs, h), dtype=np.uint64)
+        for i in range(self._stages - 1, -1, -1):
+            final = i == 0
+            y = buffers[i % 2]
+            even, odd = x[..., 0::2], x[..., 1::2]
+            lo, hi = y[..., :h], y[..., h:]
+            np.subtract(even, odd, out=d)
+            d += q2
+            if final:
+                _mul_lazy(d, self._last, self._last_q, q, hi, est_f, est)
+                _reduce_once(hi, q, tmp)
+                np.add(even, odd, out=d)
+                _mul_lazy(d, self._n_inv, self._n_inv_q, q, lo, est_f, est)
+                _reduce_once(lo, q, tmp)
+            else:
+                _mul_lazy(d, self.inv_twiddles[i], self._inv_q[i], q, hi, est_f, est)
+                np.add(even, odd, out=d)
+                np.subtract(d, q2, out=tmp)
+                np.minimum(d, tmp, out=lo)
+            x = y
         if _METRICS.enabled:
-            _METRICS.inc("math.ntt.inverse", work.shape[0] * work.shape[1])
-        return work.reshape(shape)
+            _METRICS.inc("math.ntt.inverse", polys * limbs)
+        return out
 
     def inverse_constant(self, a: np.ndarray) -> np.ndarray:
         """Coefficient 0 of the inverse NTT of every polynomial in a
@@ -274,10 +350,9 @@ class FusedLimbNtt:
         limb to ``inverse(a)[..., 0]``, without the butterflies.  Returns
         the ``(L, ...)`` stack.
         """
-        a = np.asarray(a, dtype=np.uint64)
-        self._check(a)
+        a = self._check(a)
         col = (-1,) + (1,) * (a.ndim - 2)
-        q = self._q_col.reshape(col)
+        q = self._q.reshape(col)
         # every slot is below q < 2**MAX_MODULUS_BITS = 2**41, so the sum
         # of n slots is below n * q < 2**64 for any n below 2**23: the
         # uint64 sum is exact
@@ -285,48 +360,56 @@ class FusedLimbNtt:
         return modmul_vec(total, self._n_inv.reshape(col), q)
 
 
-def _stage_slabs(table: np.ndarray, forward: bool, fused: bool = False):
-    """Hoisted per-stage twiddle slabs for the butterfly loops.
+@lru_cache(maxsize=None)
+def fused_limb_ntt(n: int, moduli: Tuple[int, ...]) -> FusedLimbNtt:
+    """Cached :class:`FusedLimbNtt` per ``(n, moduli)`` pair."""
+    return FusedLimbNtt(n, moduli)
 
-    ``table`` is the merged-order twiddle vector ``(n,)`` (per-limb) or
-    stack ``(L, n)`` (fused).  Returns ``[(m, t, twiddle), ...]`` in
-    stage order with each ``twiddle`` a frozen contiguous array shaped
-    to broadcast over ``(batch, m, t)`` butterflies (with a leading limb
-    axis in the fused layout).
+
+class NegacyclicNtt:
+    """Negacyclic NTT for one ``(n, q)`` pair: the one-limb view of
+    :class:`FusedLimbNtt`, whose cached tables it shares.
+
+    Transforms the last axis of any ``(..., n)`` array: natural order in,
+    bit-reversed slot order out, and back.
+
+    Parameters
+    ----------
+    n:
+        Transform length; must be a power of two.
+    q:
+        Prime modulus with ``q ≡ 1 (mod 2n)`` and ``q < 2**41``.
     """
-    n = table.shape[-1]
-    stages = []
-    if forward:
-        m, t = 1, n
-        while m < n:
-            t //= 2
-            stages.append((m, t))
-            m *= 2
-    else:
-        m, t = n // 2, 1
-        while m >= 1:
-            stages.append((m, t))
-            t *= 2
-            m //= 2
-    out = []
-    for m, t in stages:
-        slab = table[..., m : 2 * m]
-        shape = (-1, 1, m, 1) if fused else (1, m, 1)
-        out.append(
-            (m, t, freeze_array(np.ascontiguousarray(slab).reshape(shape)))
-        )
-    return out
+
+    def __init__(self, n: int, q: int) -> None:
+        self.n = n
+        self.q = q
+        self._kernel = fused_limb_ntt(n, (int(q),))
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        """NTT of ``a`` (last axis), natural order in, bit-reversed out."""
+        a = np.asarray(a, dtype=np.uint64)
+        return self._kernel.forward(a.reshape((1,) + a.shape)).reshape(a.shape)
+
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        """Inverse NTT of ``a`` (last axis), bit-reversed in, natural out."""
+        a = np.asarray(a, dtype=np.uint64)
+        return self._kernel.inverse(a.reshape((1,) + a.shape)).reshape(a.shape)
+
+    def pointwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Coefficient-wise product in the transform domain (MULTPOLY)."""
+        if _METRICS.enabled:
+            _METRICS.inc("math.ntt.pointwise")
+        return modmul_vec(a, b, self.q)
+
+    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Negacyclic product ``a * b mod (X^n + 1, q)`` via NTT."""
+        return self.inverse(self.pointwise(self.forward(a), self.forward(b)))
 
 
 @lru_cache(maxsize=None)
 def _context(n: int, q: int) -> NegacyclicNtt:
     return NegacyclicNtt(n, q)
-
-
-@lru_cache(maxsize=None)
-def fused_limb_ntt(n: int, moduli: Tuple[int, ...]) -> FusedLimbNtt:
-    """Cached :class:`FusedLimbNtt` per ``(n, moduli)`` pair."""
-    return FusedLimbNtt(n, moduli)
 
 
 def ntt(a: np.ndarray, q: int) -> np.ndarray:

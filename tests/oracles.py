@@ -13,6 +13,10 @@ bit for bit, per RNS limb:
   stacked PACKLWES tree in :mod:`repro.he.packing`;
 * :func:`modmul_vec_split` — the split-operand modular product, the
   reference for :func:`repro.math.modular.modmul_vec`;
+* :func:`merged_ct_forward` / :func:`merged_gs_inverse` — the merged-ψ
+  Cooley-Tukey / Gentleman-Sande NTT pair, one modulus at a time over
+  stage-variant butterfly blocks — the gold model for the
+  constant-geometry kernel :class:`repro.math.ntt.FusedLimbNtt`;
 * :func:`key_switch_raw_loop` — the per-digit / per-limb key-switch, the
   reference for :func:`repro.he.keyswitch.key_switch_raw`;
 * :func:`plan_exhaustive` — the partition search scoring every candidate
@@ -37,7 +41,8 @@ from repro.he.keys import GaloisKeyset, KeySwitchKey
 from repro.he.lwe import LweCiphertext, extract_lwe, lwe_to_rlwe
 from repro.he.packing import PackedResult
 from repro.he.rlwe import RlweCiphertext
-from repro.math.modular import modadd_vec, modmul_vec
+from repro.math.modular import modadd_vec, modmul_vec, modsub_vec
+from repro.math.ntt import _tables
 
 #: the left operand of a split product is cut at this many low bits
 SPLIT_BITS = 20
@@ -62,6 +67,70 @@ def modmul_vec_split(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return ((hi << _SHIFT) + lo) % qq
 
 
+def _stage_slabs(table: np.ndarray, forward: bool):
+    """Per-stage twiddle slabs of the merged network.
+
+    ``table`` is the merged-order twiddle vector ``(n,)``.  Returns
+    ``[(m, t, twiddle), ...]`` in stage order, each ``twiddle`` a
+    contiguous ``(1, m, 1)`` array that broadcasts over the
+    ``(batch, m, t)`` butterflies.
+    """
+    n = table.shape[-1]
+    stages = []
+    if forward:
+        m, t = 1, n
+        while m < n:
+            t //= 2
+            stages.append((m, t))
+            m *= 2
+    else:
+        m, t = n // 2, 1
+        while m >= 1:
+            stages.append((m, t))
+            t *= 2
+            m //= 2
+    return [
+        (m, t, np.ascontiguousarray(table[m : 2 * m]).reshape(1, m, 1))
+        for m, t in stages
+    ]
+
+
+def merged_ct_forward(a: np.ndarray, q: int) -> np.ndarray:
+    """Merged-ψ Cooley-Tukey NTT of the last axis (Longa-Naehrig):
+    natural order in, bit-reversed order out."""
+    a = np.asarray(a, dtype=np.uint64)
+    n = a.shape[-1]
+    psis, _inv_psis, _n_inv = _tables(n, q)
+    work = a.reshape(-1, n).copy()
+    for m, t, twiddle in _stage_slabs(psis, forward=True):
+        blocks = work.reshape(work.shape[0], m, 2 * t)
+        u = blocks[:, :, :t]
+        v = modmul_vec(blocks[:, :, t:], twiddle, q)
+        s = modadd_vec(u, v, q)
+        d = modsub_vec(u, v, q)
+        blocks[:, :, :t] = s
+        blocks[:, :, t:] = d
+    return work.reshape(a.shape)
+
+
+def merged_gs_inverse(a: np.ndarray, q: int) -> np.ndarray:
+    """Merged-ψ Gentleman-Sande inverse NTT of the last axis:
+    bit-reversed order in, natural order out, scaled by ``n^-1``."""
+    a = np.asarray(a, dtype=np.uint64)
+    n = a.shape[-1]
+    _psis, inv_psis, n_inv = _tables(n, q)
+    work = a.reshape(-1, n).copy()
+    for m, t, twiddle in _stage_slabs(inv_psis, forward=False):
+        blocks = work.reshape(work.shape[0], m, 2 * t)
+        u = blocks[:, :, :t]
+        v = blocks[:, :, t:]
+        s = modadd_vec(u, v, q)
+        d = modmul_vec(modsub_vec(u, v, q), twiddle, q)
+        blocks[:, :, :t] = s
+        blocks[:, :, t:] = d
+    return modmul_vec(work, np.uint64(n_inv), q).reshape(a.shape)
+
+
 def key_switch_raw_loop(
     ctx: CheContext, c: np.ndarray, ksk: KeySwitchKey
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -76,7 +145,7 @@ def key_switch_raw_loop(
         digit = c[i]  # the i-th RNS digit, an integer in [0, q_i)
         digit_limbs = np.stack([digit % np.uint64(qj) for qj in aug])
         digit_ntt = np.stack(
-            [ctx.ntt(qj).forward(digit_limbs[j]) for j, qj in enumerate(aug)]
+            [merged_ct_forward(digit_limbs[j], qj) for j, qj in enumerate(aug)]
         )
         for j, qj in enumerate(aug):
             acc0[j] = modadd_vec(
@@ -86,10 +155,10 @@ def key_switch_raw_loop(
                 acc1[j], modmul_vec(digit_ntt[j], ksk.a_ntt[i][j], qj), qj
             )
     d0 = aug.rescale_last(
-        np.stack([ctx.ntt(qj).inverse(acc0[j]) for j, qj in enumerate(aug)])
+        np.stack([merged_gs_inverse(acc0[j], qj) for j, qj in enumerate(aug)])
     )
     d1 = aug.rescale_last(
-        np.stack([ctx.ntt(qj).inverse(acc1[j]) for j, qj in enumerate(aug)])
+        np.stack([merged_gs_inverse(acc1[j], qj) for j, qj in enumerate(aug)])
     )
     return d0, d1
 

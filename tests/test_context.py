@@ -5,6 +5,7 @@ import pytest
 
 from repro.he.context import CheContext
 from repro.he.params import toy_params
+from repro.math.ntt import negacyclic_convolution_schoolbook
 
 
 @pytest.fixture(scope="module")
@@ -13,8 +14,8 @@ def ctx():
 
 
 def test_ntt_cache_returns_same_object(ctx):
-    q = ctx.ct_basis.moduli[0]
-    assert ctx.ntt(q) is ctx.ntt(q)
+    basis = ctx.ct_basis
+    assert ctx.fused_ntt(basis) is ctx.fused_ntt(basis)
 
 
 def test_ntt_limbs_roundtrip(ctx, rng):
@@ -30,7 +31,7 @@ def test_negacyclic_multiply_per_limb(ctx, rng):
     b = np.stack([rng.integers(0, q, 128, dtype=np.uint64) for q in basis])
     prod = ctx.negacyclic_multiply(a, b, basis)
     for i, q in enumerate(basis):
-        assert np.array_equal(prod[i], ctx.ntt(q).multiply(a[i], b[i]))
+        assert np.array_equal(prod[i], negacyclic_convolution_schoolbook(a[i], b[i], q))
 
 
 def test_sample_uniform_shape_and_range(ctx):

@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 
 from repro.math.cg_ntt import constant_geometry_schedule
-from repro.math.ntt import NegacyclicNtt, _tables, bit_reverse_indices, ntt
+from repro.math.ntt import (
+    NegacyclicNtt,
+    _tables,
+    bit_reverse_indices,
+    constant_geometry_index,
+    fused_limb_ntt,
+    ntt,
+)
 from repro.math.polynomial import automorph, automorph_permutation
-from repro.math.primes import CHAM_Q0, _factorize
+from repro.math.primes import CHAM_P, CHAM_Q0, CHAM_Q1, _factorize
 
 N = 64
 Q = CHAM_Q0
@@ -67,6 +74,37 @@ def test_transforms_unaffected_after_mutation_attempt(rng):
 
 
 def test_ntt_context_uses_frozen_tables():
+    """The one-limb view shares the cached kernel, and every table the
+    kernel reads is read-only."""
     ctx = NegacyclicNtt(N, Q)
-    assert not ctx._psis.flags.writeable
-    assert not ctx._inv_psis.flags.writeable
+    kernel = ctx._kernel
+    assert kernel is fused_limb_ntt(N, (Q,))
+    tables = {
+        name: value
+        for name, value in vars(kernel).items()
+        if isinstance(value, np.ndarray)
+    }
+    assert {"twiddles", "inv_twiddles", "_fwd_q", "_inv_q"} <= set(tables)
+    for name, table in tables.items():
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError):
+            table.flat[0] = 0
+
+
+def test_fused_stage_tables_frozen():
+    """The stacked stage tables of a multi-limb kernel and the derived
+    schedule index are read-only, and the hardware schedule is a view
+    of the kernel's tables rather than a second copy."""
+    kernel = fused_limb_ntt(N, (CHAM_Q0, CHAM_Q1, CHAM_P))
+    stages = N.bit_length() - 1
+    assert kernel.twiddles.shape == (stages, 3, N // 2)
+    for table in (kernel.twiddles, kernel.inv_twiddles, kernel._fwd_q, kernel._inv_q):
+        assert table.shape == (stages, 3, N // 2)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0
+    for table in constant_geometry_index(N):
+        with pytest.raises(ValueError):
+            table.flat[0] = 0
+    sched = constant_geometry_schedule(N, Q)
+    assert np.shares_memory(sched.twiddles, fused_limb_ntt(N, (Q,)).twiddles)
+    assert np.shares_memory(sched.inv_twiddles, fused_limb_ntt(N, (Q,)).inv_twiddles)

@@ -182,6 +182,10 @@ def test_shipped_floors_match_bench_metrics():
         "keyswitch": {
             "ops_per_s_single", "ops_per_s_batched",
         },
+        "ntt_kernel": {
+            "forward_per_s_digits", "inverse_per_s_digits",
+            "forward_per_s_encode", "inverse_per_s_encode",
+        },
         "topology": {
             "goodput_sim_rps_ideal", "goodput_sim_rps_ring",
             "goodput_sim_rps_mesh", "goodput_sim_rps_fat_tree",
