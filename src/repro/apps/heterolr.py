@@ -11,8 +11,9 @@ the decryption key.  Per mini-batch:
    degree-1 sigmoid approximation is ``X^T e / (4m)`` — the 1/4 stays in
    the clear and no encrypted scalar multiplication is needed);
 3. both parties compute their encrypted gradient block ``X_P^T [[e]]``
-   — the homomorphic matrix-vector product CHAM accelerates — and blind
-   it with an additive mask before the arbiter decrypts.
+   — the homomorphic matrix-vector product CHAM accelerates — at the
+   same time, as on their own hosts, and blind it with an additive mask
+   before the arbiter decrypts, in party order.
 
 Three interchangeable crypto backends mirror Fig. 7's systems:
 :class:`PlainBackend` (cleartext oracle), :class:`PaillierBackend`
@@ -23,6 +24,8 @@ operation tallies so the performance benchmark can price each backend.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -116,6 +119,8 @@ class PaillierBackend:
         self.codec = FixedPointCodec(self.paillier.pk.n, frac_bits)
         self.frac_bits = frac_bits
         self.counts = StepCounts()
+        #: both parties' ``gradient`` calls run at once and count here
+        self._counts_lock = threading.Lock()
 
     def encrypt_residual(self, e: np.ndarray) -> List[int]:
         enc = self.codec.encode(e)
@@ -133,9 +138,10 @@ class PaillierBackend:
 
     def gradient(self, features: np.ndarray, enc_e: List[int]) -> List[int]:
         fixed = np.rint(features.T * (1 << self.frac_bits)).astype(object)
-        self.counts.matvecs += 1
-        self.counts.matvec_rows += fixed.shape[0]
-        self.counts.matvec_cols += fixed.shape[1]
+        with self._counts_lock:
+            self.counts.matvecs += 1
+            self.counts.matvec_rows += fixed.shape[0]
+            self.counts.matvec_cols += fixed.shape[1]
         return self.paillier.matvec(fixed, enc_e)
 
     def decrypt_gradient(self, enc_grad: List[int], count: int) -> np.ndarray:
@@ -162,6 +168,8 @@ class BfvBackend:
         self.mask_gradients = mask_gradients
         self._mask_rng = np.random.default_rng(0xA5C0)
         self.counts = StepCounts()
+        #: both parties' ``gradient`` calls run at once and count here
+        self._counts_lock = threading.Lock()
 
     def encrypt_residual(self, e: np.ndarray):
         fixed = self.codec.encode(e)
@@ -183,9 +191,10 @@ class BfvBackend:
         fixed = np.asarray(
             np.rint(features.T * (1 << self.frac_bits)), dtype=np.int64
         )
-        self.counts.matvecs += 1
-        self.counts.matvec_rows += fixed.shape[0]
-        self.counts.matvec_cols += fixed.shape[1]
+        with self._counts_lock:
+            self.counts.matvecs += 1
+            self.counts.matvec_rows += fixed.shape[0]
+            self.counts.matvec_cols += fixed.shape[1]
         return BatchedHmvp.once(self.scheme, fixed, enc_e)
 
     def decrypt_gradient(self, result, count: int) -> np.ndarray:
@@ -235,7 +244,13 @@ class TrainHistory:
 
 
 class HeteroLrTrainer:
-    """Two-party HeteroLR with a pluggable crypto backend."""
+    """Two-party HeteroLR with a pluggable crypto backend.
+
+    The backend's ``gradient`` must be safe to call from two threads at
+    once: :meth:`train` runs party B's on a worker thread of its own.
+    Every other backend call stays on the caller's thread, in protocol
+    order.
+    """
 
     def __init__(self, backend, config: Optional[LrConfig] = None) -> None:
         self.backend = backend
@@ -245,6 +260,7 @@ class HeteroLrTrainer:
 
     def _batch_gradients(
         self,
+        party_b: ThreadPoolExecutor,
         x_a: np.ndarray,
         x_b: np.ndarray,
         y: np.ndarray,
@@ -260,17 +276,35 @@ class HeteroLrTrainer:
         # Party B folds in its half and the label offset: e = z + 2 - 4y
         offset = 2.0 - 4.0 * y
         enc_e = self.backend.combine_residual(enc, z_b, offset)
-        # both parties compute their gradient block homomorphically
+        # both parties compute their gradient block homomorphically, at
+        # once: B's on the worker thread (carrying the batch's trace
+        # context across the hop), A's here
+        future_b = party_b.submit(
+            obs.run_with_context, obs.current_context(), self.backend.gradient, x_b, enc_e
+        )
         enc_ga = self.backend.gradient(x_a, enc_e)
-        enc_gb = self.backend.gradient(x_b, enc_e)
-        # the arbiter decrypts; BFV/Paillier backends blind the gradient
-        # first and strip the mask afterwards (exact in Z_t)
+        enc_gb = future_b.result()
+        # the arbiter decrypts in party order on this thread, since a
+        # masking backend draws both parties' masks from one RNG; BFV and
+        # Paillier blind the gradient first and strip the mask afterwards
+        # (exact in Z_t)
         g_a = self.backend.decrypt_gradient(enc_ga, x_a.shape[1]) / (4.0 * m)
         g_b = self.backend.decrypt_gradient(enc_gb, x_b.shape[1]) / (4.0 * m)
         return g_a, g_b
 
     def train(self, data: VerticalDataset) -> "tuple[np.ndarray, TrainHistory]":
-        """Run the federated training loop; returns (weights, history)."""
+        """Run the federated training loop; returns (weights, history).
+
+        Party B's gradients run on a worker thread that lives for this call.
+        """
+        with ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="heterolr-party-b"
+        ) as party_b:
+            return self._train(party_b, data)
+
+    def _train(
+        self, party_b: ThreadPoolExecutor, data: VerticalDataset
+    ) -> "tuple[np.ndarray, TrainHistory]":
         cfg = self.config
         w_a = np.zeros(data.features_a.shape[1])
         w_b = np.zeros(data.features_b.shape[1])
@@ -285,7 +319,7 @@ class HeteroLrTrainer:
                     with obs.span(
                         "heterolr.batch", epoch=epoch, batch=batch_idx
                     ):
-                        g_a, g_b = self._batch_gradients(x_a, x_b, y, w_a, w_b)
+                        g_a, g_b = self._batch_gradients(party_b, x_a, x_b, y, w_a, w_b)
                     obs.inc("apps.heterolr.batches")
                     if cfg.l2:
                         g_a = g_a + cfg.l2 * w_a

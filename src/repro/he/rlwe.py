@@ -64,14 +64,15 @@ def scaled_plaintext_limbs(
 ) -> np.ndarray:
     """Limbs of ``round(M * m_centered / t)`` — the message embedding.
 
-    Computed exactly over bigints (encryption is not a hot path); the
-    rounding error of at most 1/2 per coefficient is the only residue the
-    exact scaling leaves behind.
+    Computed exactly over bigints, as one object-array expression (each
+    element is a Python int, so ``//`` floors as it does per
+    coefficient); the rounding error of at most 1/2 per coefficient is
+    the only residue the exact scaling leaves behind.
     """
     modulus = basis.product
     t = ctx.t
     centered = pt.centered().astype(object)
-    scaled = [(2 * modulus * int(c) + t) // (2 * t) for c in centered]
+    scaled = (2 * modulus * centered + t) // (2 * t)
     return ctx.limbs_for(scaled, basis)
 
 

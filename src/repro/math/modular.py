@@ -232,13 +232,27 @@ def _barrett_core(
     qq: Union[np.uint64, IntArray],
     mu: Union[np.float64, np.ndarray],
 ) -> IntArray:
-    est = (a.astype(np.float64) * b.astype(np.float64) * mu).astype(np.uint64)
+    # every step in place, so at most two result-sized arrays are live
+    # at once: concurrent HMVPs (HeteroLR's two parties, the serving
+    # pool) each hold a dot or key-switch product's worth of them
+    shape = np.broadcast(a, b, qq).shape  # a modulus column may broadcast too
+    est = np.empty(shape, dtype=np.float64)
+    np.multiply(a, b, out=est, dtype=np.float64)
+    np.multiply(est, mu, out=est)
+    scratch = np.empty(shape, dtype=np.uint64)
+    np.copyto(scratch, est, casting="unsafe")  # truncates, as astype does
+    del est
+    np.multiply(scratch, qq, out=scratch)
+    r = np.empty(shape, dtype=np.uint64)
+    np.multiply(a, b, out=r)
+    np.subtract(r, scratch, out=r)
     # the quotient estimate is off by at most one, so the raw residue is
     # in (-q, 2q): exactly one of {r, r+q, r-q} lands in [0, q) and
     # uint64 wrap-around makes the other two enormous — unsigned min
     # selects the exact remainder (see modmul_vec_barrett docstring)
-    r = a * b - est * qq
-    return np.minimum(np.minimum(r, r + qq), r - qq)
+    np.minimum(r, np.add(r, qq, out=scratch), out=scratch)
+    np.minimum(scratch, np.subtract(r, qq, out=r), out=r)
+    return r if r.ndim else r[()]  # 0-d operands give a scalar, as ufuncs do
 
 
 def modmul_vec(a: IntArray, b: IntArray, q: ModulusLike) -> IntArray:

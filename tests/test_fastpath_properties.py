@@ -89,6 +89,51 @@ def test_barrett_column_modulus_matches_per_limb(seed):
         assert np.array_equal(got[i], modmul_vec_split(a[i], b[i], int(q)))
 
 
+_QS = np.array(
+    [(1 << 38) + 7, (1 << 39) + 21, (1 << MAX_MODULUS_BITS) - 21], dtype=np.uint64
+)
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape, q_shape",
+    [
+        # the dot stage's MULTPOLY: rows against both request components
+        ((3, 1, 1, 8, 16), (3, 2, 1, 1, 16), (3, 1, 1, 1, 1)),
+        ((3, 2, 1, 1, 16), (3, 1, 1, 8, 16), (3, 1, 1, 1, 1)),
+        # the modulus column alone adds the limb axis
+        ((16,), (16,), (3, 1)),
+        ((1, 16), (2, 16), (3, 1, 1)),
+        # a 0-d operand (the NTT tables' doubling passes an np.uint64)
+        ((), (3, 16), (3, 1)),
+        ((3, 16), (), (3, 1)),
+        ((), (), (3, 1)),
+    ],
+)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_barrett_broadcast_shapes_match_split_oracle(a_shape, b_shape, q_shape, seed):
+    """The in-place Barrett allocates for the broadcast of both operands
+    and the modulus, and reduces every limb slice by its own modulus."""
+    rng = np.random.default_rng(seed)
+    q = _QS.reshape(q_shape)
+    # below the smallest modulus, so every operand is reduced for every limb
+    a = rng.integers(0, _QS[0], a_shape, dtype=np.uint64)
+    b = rng.integers(0, _QS[0], b_shape, dtype=np.uint64)
+    got = modmul_vec(a, b, q)
+    shape = np.broadcast_shapes(a.shape, b.shape, q.shape)
+    assert got.shape == shape and got.dtype == np.uint64
+    a_full, b_full = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+    for i, qi in enumerate(_QS):
+        assert np.array_equal(got[i], modmul_vec_split(a_full[i], b_full[i], int(qi)))
+
+
+def test_barrett_scalar_operands_give_a_scalar():
+    q = int(_QS[2])
+    got = modmul_vec(np.uint64(q - 1), np.uint64(q - 2), q)
+    assert np.ndim(got) == 0 and got.dtype == np.uint64
+    assert int(got) == (q - 1) * (q - 2) % q
+
+
 # -- unsigned-min add/sub vs Python-int reference ------------------------------
 
 

@@ -5,7 +5,13 @@ import pytest
 
 from repro.he.encoder import CoefficientEncoder
 from repro.he.noise import absolute_noise_bits
-from repro.he.rlwe import RlweCiphertext, decrypt, encrypt, encrypt_pk
+from repro.he.rlwe import (
+    RlweCiphertext,
+    decrypt,
+    encrypt,
+    encrypt_pk,
+    scaled_plaintext_limbs,
+)
 from repro.math.polynomial import automorph
 
 
@@ -150,6 +156,23 @@ def test_zero_plus_real_preserves_message(ctx128, sk128, enc, rng):
     ct = encrypt(ctx128, sk128, enc.encode_coeffs(a), augmented=False)
     z = RlweCiphertext.zero(ctx128, ctx128.ct_basis)
     assert np.array_equal(decrypt(ctx128, sk128, ct + z).centered(), a)
+
+
+def test_scaled_plaintext_limbs_match_per_coefficient_rounding(ctx128, enc, rng):
+    """The object-array embedding equals ``(2 M c + t) // (2 t)`` taken
+    coefficient by coefficient, at the centered extremes too."""
+    t = ctx128.t
+    half = (t - 1) // 2
+    coeffs = rng.integers(0, t, enc.n).astype(object)
+    coeffs[:4] = [0, half, t - half, t - 1]  # centered 0, ±(t-1)/2, -1
+    pt = enc.encode_coeffs(coeffs)
+    assert list(pt.centered()[:4]) == [0, half, -half, -1]
+    for basis in (ctx128.ct_basis, ctx128.aug_basis):
+        modulus = basis.product
+        want = [(2 * modulus * int(c) + t) // (2 * t) for c in pt.centered()]
+        got = scaled_plaintext_limbs(ctx128, pt, basis)
+        for limb, q in zip(got, basis):
+            assert [int(v) for v in limb] == [w % q for w in want]
 
 
 def test_shape_validation(ctx128):
