@@ -18,7 +18,7 @@ from repro.hw.pipeline import MacroPipeline
 from repro.hw.resources import total_resources, utilization
 from repro.hw.roofline import roofline_points
 from repro.hw.runtime import FaultInjector, FpgaRuntime, offload
-from repro.math.cg_ntt import CgNtt
+from repro.math.ntt import NegacyclicNtt
 from repro.math.primes import CHAM_Q0
 
 
@@ -33,7 +33,7 @@ def main() -> None:
     sim = NttDatapathSim(unit, CHAM_Q0)
     a = np.random.default_rng(0).integers(0, CHAM_Q0, 256, dtype=np.uint64)
     out, report = sim.forward(a)
-    assert np.array_equal(out, CgNtt(256, CHAM_Q0).forward(a))
+    assert np.array_equal(out, NegacyclicNtt(256, CHAM_Q0).forward(a))
     print(f"  functional match vs gold NTT: yes")
     print(f"  schedule violations: {len(report.log.violations())}, "
           f"routing patterns: {len(report.routing_patterns)} (constant geometry)")

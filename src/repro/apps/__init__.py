@@ -14,10 +14,9 @@ from .heterolr import (
     PaillierBackend,
     PlainBackend,
     StepCounts,
-    sigmoid,
     taylor_sigmoid,
 )
-from .beaver import BeaverGenerator, BeaverTriple, MatrixBeaverGenerator, verify_triple
+from .beaver import BeaverGenerator, BeaverTriple, verify_triple
 from .protocol import Channel, Message, Party, wire_size
 from .delphi import DelphiInference, LayerCorrelation
 from .inference import PrivateInference, TinyModel
@@ -32,10 +31,8 @@ __all__ = [
     "PaillierBackend",
     "PlainBackend",
     "StepCounts",
-    "sigmoid",
     "taylor_sigmoid",
     "BeaverGenerator",
-    "MatrixBeaverGenerator",
     "Channel",
     "Message",
     "Party",

@@ -34,7 +34,7 @@ from ..core.batch import BatchedHmvp, encrypt_tiles
 from ..core.hmvp import HmvpOpCount
 from ..he.bfv import BfvScheme
 
-__all__ = ["BeaverTriple", "BeaverGenerator", "MatrixBeaverGenerator", "verify_triple"]
+__all__ = ["BeaverTriple", "BeaverGenerator", "verify_triple"]
 
 
 @dataclass
@@ -143,41 +143,3 @@ class BeaverGenerator:
     def generate_batch(self, matrix: np.ndarray, count: int) -> List[BeaverTriple]:
         """Generate ``count`` triples for the same server matrix."""
         return [self.generate(matrix) for _ in range(count)]
-
-
-class MatrixBeaverGenerator(BeaverGenerator):
-    """Matrix-matrix triples: shares of ``W · (A1 + A2)`` column-wise.
-
-    The matrix extension of the vector triple: the client's share ``A1``
-    is a ``(n, cols)`` matrix encrypted one column per ciphertext, the
-    server evaluates each column with the row-hoisted batched HMVP
-    (:class:`~repro.core.batch.BatchedHmvp`), and the masking/open steps
-    follow per column.  Delphi consumes exactly these for convolutional
-    layers expressed as matrices.
-    """
-
-    def generate_matrix(self, matrix: np.ndarray, cols: int) -> List[BeaverTriple]:
-        """One triple per column, sharing the hoisted row transforms."""
-        matrix = np.asarray(matrix)
-        m, n = matrix.shape
-        t = self.scheme.params.plain_modulus
-        batched = BatchedHmvp(self.scheme, matrix)
-
-        triples: List[BeaverTriple] = []
-        a1_cols = [self._rand_small(n) for _ in range(cols)]
-        cts = [self.scheme.encrypt_vector(col) for col in a1_cols]
-        self.stats.encryptions += cols
-        results = batched.multiply_batch(cts)
-        for a1, result in zip(a1_cols, results):
-            self.stats.ops = self.stats.ops + result.ops
-            a2 = self._rand_small(n)
-            s = self._rand_vec(m)
-            w_a1 = result.decrypt(self.scheme)
-            self.stats.decrypted_packs += len(result.packs)
-            c1 = (np.asarray(w_a1, dtype=object) - s) % t
-            c2 = (matrix.astype(object) @ a2.astype(object) + s) % t
-            self.stats.triples += 1
-            triples.append(
-                BeaverTriple(matrix=matrix, a1=a1, a2=a2, c1=c1, c2=c2, t=t)
-            )
-        return triples

@@ -45,13 +45,8 @@ __all__ = [
     "PaillierBackend",
     "BfvBackend",
     "HeteroLrTrainer",
-    "sigmoid",
     "taylor_sigmoid",
 ]
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 def taylor_sigmoid(z: np.ndarray) -> np.ndarray:

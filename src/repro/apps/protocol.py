@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional
 
 from ..he.rlwe import RlweCiphertext
 from ..he.serialization import rlwe_wire_bytes
@@ -70,11 +70,6 @@ class Channel:
         self._queues.setdefault(receiver, deque()).append(msg)
         self.log.append(msg)
 
-    def account(self, sender: str, receiver: str, label: str, size: int) -> None:
-        """Record traffic without enqueueing a payload (for flows whose
-        computation happens out of band but whose bytes must be billed)."""
-        self.log.append(Message(sender, receiver, label, None, size))
-
     def recv(self, receiver: str, label: Optional[str] = None) -> Any:
         queue = self._queues.get(receiver)
         if not queue:
@@ -96,13 +91,6 @@ class Channel:
         out: Dict[str, int] = {}
         for m in self.log:
             out[m.label] = out.get(m.label, 0) + m.size
-        return out
-
-    def bytes_by_direction(self) -> Dict[Tuple[str, str], int]:
-        out: Dict[Tuple[str, str], int] = {}
-        for m in self.log:
-            key = (m.sender, m.receiver)
-            out[key] = out.get(key, 0) + m.size
         return out
 
     @property

@@ -557,9 +557,7 @@ class ClusterExecutor:
             packs=packs,
             rows=self.rows,
             cols=self.cols,
-            ops=HmvpOpCount.for_request(
-                self.rows, self.cols, ring, ring, len(ct_basis)
-            ),
+            ops=HmvpOpCount.for_request(self.rows, self.cols, ring, len(ct_basis)),
         )
 
     def execute(

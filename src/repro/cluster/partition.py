@@ -391,22 +391,6 @@ class PartitionPlanner:
         self._comm_cache[key] = cycles
         return cycles
 
-    def plan_from_cuts(
-        self,
-        rows: int,
-        cols: int,
-        row_cuts: Sequence[int],
-        col_cuts: Sequence[int],
-    ) -> PartitionPlan:
-        """Wrap explicit cuts in a validated plan (test/CLI entry point)."""
-        return PartitionPlan(
-            rows=rows,
-            cols=cols,
-            ring_n=self.ring_n,
-            row_cuts=tuple(row_cuts),
-            col_cuts=tuple(col_cuts),
-        )
-
     def plan(
         self,
         rows: int,

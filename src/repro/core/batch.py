@@ -64,15 +64,13 @@ __all__ = [
 ]
 
 
-def matrix_fingerprint(
-    matrix: np.ndarray, params: CheParams, tile_rows: int = 0
-) -> str:
+def matrix_fingerprint(matrix: np.ndarray, params: CheParams) -> str:
     """Content fingerprint of an encoded matrix.
 
     Hashes the matrix values together with everything the NTT-domain
     encoding depends on (shape, ring degree, plaintext modulus, RNS
-    moduli, tiling) — a mutated matrix or a different parameter set
-    can never alias a cached encoding.
+    moduli) — a mutated matrix or a different parameter set can never
+    alias a cached encoding.
     """
     h = hashlib.sha256()
     arr = np.asarray(matrix)
@@ -82,7 +80,6 @@ def matrix_fingerprint(
         params.plain_modulus,
         tuple(params.ct_moduli),
         params.special_modulus,
-        tile_rows,
     )
     h.update(repr(meta).encode())
     if arr.dtype == object:
@@ -90,15 +87,6 @@ def matrix_fingerprint(
     else:
         h.update(np.ascontiguousarray(arr.astype(np.int64)).tobytes())
     return h.hexdigest()
-
-
-def _tile_rows(tile_rows: Optional[int], ring: int) -> int:
-    """Rows per row tile: ``None`` means the ring degree ``N``."""
-    if tile_rows is None:
-        return ring
-    if not 1 <= tile_rows <= ring:
-        raise ValueError(f"tile_rows {tile_rows} must be in 1..{ring}")
-    return tile_rows
 
 
 def _encode_rows_eq1(block: np.ndarray, n: int, t: int) -> np.ndarray:
@@ -133,50 +121,43 @@ def _centered_limbs(coeffs: np.ndarray, t: int, basis: RnsBasis) -> np.ndarray:
 class EncodedMatrix:
     """A matrix encoded once, resident in the NTT domain per row tile.
 
-    ``tiles[(rt, ct)]`` is the frozen ``(L_aug, rows_in_tile, n)`` stack
-    of forward-transformed Eq. 1 row encodings for row tile ``rt``
-    against column tile ``ct``.
+    Row and column tiles are ``N`` (the ring degree) wide, the last of
+    each possibly narrower.  ``tiles[(rt, ct)]`` is the frozen
+    ``(L_aug, rows_in_tile, n)`` stack of forward-transformed Eq. 1 row
+    encodings for row tile ``rt`` against column tile ``ct``.
     """
 
     fingerprint: str
     shape: Tuple[int, int]
     ring_n: int
-    tile_rows: int
     tiles: Dict[Tuple[int, int], np.ndarray] = field(repr=False)
     encode_ops: HmvpOpCount = field(default_factory=HmvpOpCount)
 
     @property
     def row_tiles(self) -> int:
-        return -(-self.shape[0] // self.tile_rows)
+        return -(-self.shape[0] // self.ring_n)
 
     @property
     def col_tiles(self) -> int:
         return -(-self.shape[1] // self.ring_n)
 
     def row_tile_rows(self, rt: int) -> int:
-        start = rt * self.tile_rows
-        return min(self.tile_rows, self.shape[0] - start)
+        return min(self.ring_n, self.shape[0] - rt * self.ring_n)
 
     @classmethod
-    def encode(
-        cls,
-        scheme: BfvScheme,
-        matrix: np.ndarray,
-        tile_rows: Optional[int] = None,
-    ) -> "EncodedMatrix":
+    def encode(cls, scheme: BfvScheme, matrix: np.ndarray) -> "EncodedMatrix":
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
         m, n_cols = matrix.shape
         ring = scheme.params.n
-        tile_rows = _tile_rows(tile_rows, ring)
         ctx = scheme.ctx
         aug = ctx.aug_basis
         t = scheme.params.plain_modulus
         tiles: Dict[Tuple[int, int], np.ndarray] = {}
         with obs.span("batch.encode", rows=m, cols=n_cols):
-            for rt, row_start in enumerate(range(0, m, tile_rows)):
-                row_block = matrix[row_start : row_start + tile_rows]
+            for rt, row_start in enumerate(range(0, m, ring)):
+                row_block = matrix[row_start : row_start + ring]
                 for ct, col_start in enumerate(range(0, n_cols, ring)):
                     block = row_block[:, col_start : col_start + ring]
                     coeffs = _encode_rows_eq1(block, ring, t)
@@ -184,10 +165,9 @@ class EncodedMatrix:
                     tiles[(rt, ct)] = freeze_array(ctx.ntt_limbs(limbs, aug))
         col_tiles = -(-n_cols // ring)
         return cls(
-            fingerprint=matrix_fingerprint(matrix, scheme.params, tile_rows),
+            fingerprint=matrix_fingerprint(matrix, scheme.params),
             shape=(m, n_cols),
             ring_n=ring,
-            tile_rows=tile_rows,
             tiles=tiles,
             encode_ops=HmvpOpCount(ntts=m * len(aug) * col_tiles),
         )
@@ -210,15 +190,8 @@ class EncodedMatrixCache:
         self.hits = 0
         self.misses = 0
 
-    def get_or_encode(
-        self,
-        scheme: BfvScheme,
-        matrix: np.ndarray,
-        tile_rows: Optional[int] = None,
-    ) -> EncodedMatrix:
-        key = matrix_fingerprint(
-            matrix, scheme.params, _tile_rows(tile_rows, scheme.params.n)
-        )
+    def get_or_encode(self, scheme: BfvScheme, matrix: np.ndarray) -> EncodedMatrix:
+        key = matrix_fingerprint(matrix, scheme.params)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -230,7 +203,7 @@ class EncodedMatrixCache:
         obs.inc("batch.cache.miss")
         # encode outside the lock: concurrent misses on the same key do
         # redundant work but never block each other or corrupt the map
-        encoded = EncodedMatrix.encode(scheme, matrix, tile_rows=tile_rows)
+        encoded = EncodedMatrix.encode(scheme, matrix)
         with self._lock:
             self.misses += 1
             self._entries[key] = encoded
@@ -258,11 +231,10 @@ def encode_matrix(
     matrix: np.ndarray,
     *,
     cache: Optional[EncodedMatrixCache] = None,
-    tile_rows: Optional[int] = None,
 ) -> EncodedMatrix:
     """Encode (or fetch from cache) the NTT-domain row tiles of a matrix."""
     target = cache if cache is not None else MATRIX_CACHE
-    return target.get_or_encode(scheme, matrix, tile_rows=tile_rows)
+    return target.get_or_encode(scheme, matrix)
 
 
 def encrypt_tiles(
@@ -305,17 +277,15 @@ class BatchedHmvp:
     scheme:
         The HE scheme (keys included).
     matrix:
-        ``(m, n_cols)`` of any size: rows beyond the ring degree become
-        separate row tiles (one pack each), and ``n_cols`` beyond it
-        column tiles, in which case requests supply one vector
+        ``(m, n_cols)`` of any size: every ``N`` rows (``N`` the ring
+        degree) form a row tile (one pack each), and every ``N`` columns
+        a column tile, in which case requests supply one vector
         ciphertext per column tile (see :meth:`multiply_tiles`).
     cache:
         Encoded-matrix cache; defaults to the module :data:`MATRIX_CACHE`.
-    tile_rows:
-        Rows per row tile, ``1..N`` (defaults to the ring degree ``N``).
     workers:
-        Default worker-pool width for :meth:`multiply_batch`; defaults
-        to :func:`host_cpus`.
+        Worker-pool width for :meth:`multiply_batch`; defaults to
+        :func:`host_cpus`.
     """
 
     def __init__(
@@ -324,7 +294,6 @@ class BatchedHmvp:
         matrix: Sequence[Sequence[int]],
         *,
         cache: Optional[EncodedMatrixCache] = None,
-        tile_rows: Optional[int] = None,
         workers: Optional[int] = None,
     ) -> None:
         self.scheme = scheme
@@ -335,9 +304,7 @@ class BatchedHmvp:
             raise ValueError(f"nothing to pack: empty {matrix.shape} matrix")
         self.matrix = matrix
         self.workers = workers if workers is not None else host_cpus()
-        self.encoded = encode_matrix(
-            scheme, matrix, cache=cache, tile_rows=tile_rows
-        )
+        self.encoded = encode_matrix(scheme, matrix, cache=cache)
         self.encode_ops = self.encoded.encode_ops
 
     @classmethod
@@ -494,11 +461,7 @@ class BatchedHmvp:
         """Operation counts of one request against the resident matrix."""
         m, n_cols = self.matrix.shape
         return HmvpOpCount.for_request(
-            m,
-            n_cols,
-            self.encoded.ring_n,
-            self.encoded.tile_rows,
-            len(self.scheme.ctx.ct_basis),
+            m, n_cols, self.encoded.ring_n, len(self.scheme.ctx.ct_basis)
         )
 
     # -- public entry points ---------------------------------------------------
@@ -514,9 +477,7 @@ class BatchedHmvp:
         return self._hoist([ct])
 
     def multiply_partial(
-        self,
-        ct_tiles: Optional[Sequence[RlweCiphertext]] = None,
-        hoisted_tiles: Optional[Sequence[np.ndarray]] = None,
+        self, hoisted_tiles: Sequence[np.ndarray]
     ) -> "List[tuple[np.ndarray, np.ndarray]]":
         """Stages 1-4 only: stacked partial LWEs per row tile, unpacked.
 
@@ -530,16 +491,9 @@ class BatchedHmvp:
         the unsharded pipeline.  This is the scatter payload of
         :mod:`repro.cluster`.
 
-        Pass either the vector ciphertext tiles or pre-hoisted
-        components (from :meth:`hoist`); hoisted wins when both given.
+        ``hoisted_tiles`` holds one :meth:`hoist` result per column tile.
         """
-        if hoisted_tiles is None:
-            if ct_tiles is None:
-                raise ValueError("need ct_tiles or hoisted_tiles")
-            self._check_tiles(len(ct_tiles))
-            hoisted_tiles = [self.hoist(ct) for ct in ct_tiles]
-        else:
-            self._check_tiles(len(hoisted_tiles), "hoisted")
+        self._check_tiles(len(hoisted_tiles), "hoisted")
         obs.inc(
             "core.hmvp.dot_products",
             self.matrix.shape[0] * self.encoded.col_tiles,
@@ -574,16 +528,12 @@ class BatchedHmvp:
             )
         return self.multiply_tiles([ct_v])
 
-    def multiply_batch(
-        self,
-        cts: Sequence[RlweCiphertext],
-        workers: Optional[int] = None,
-    ) -> List[HmvpResult]:
+    def multiply_batch(self, cts: Sequence[RlweCiphertext]) -> List[HmvpResult]:
         """Apply the cached matrix to a batch of encrypted vectors.
 
         The batch runs in request groups; the ``(group, row tile)`` work
-        items fan out across a thread pool when ``workers > 1`` (the
-        NumPy kernels release the GIL for most of their runtime).
+        items fan out across a thread pool when :attr:`workers` ``> 1``
+        (the NumPy kernels release the GIL for most of their runtime).
         """
         if self.encoded.col_tiles != 1:
             raise ValueError(
@@ -592,21 +542,20 @@ class BatchedHmvp:
             )
         if not cts:
             return []
-        pool_width = workers if workers is not None else self.workers
         size = self._group_size()
         groups = [cts[i : i + size] for i in range(0, len(cts), size)]
         row_tiles = self.encoded.row_tiles
         obs.inc("batch.requests", len(cts))
-        with obs.span("batch.batch", requests=len(cts), workers=pool_width):
+        with obs.span("batch.batch", requests=len(cts), workers=self.workers):
             hoisted = [[self._hoist(group)] for group in groups]
             tasks = [
                 (gi, rt) for gi in range(len(groups)) for rt in range(row_tiles)
             ]
-            if pool_width > 1 and len(tasks) > 1:
+            if self.workers > 1 and len(tasks) > 1:
                 # pool threads do not inherit the contextvar, so carry
                 # the batch's trace context across the executor hop
                 batch_ctx = obs.current_context()
-                with ThreadPoolExecutor(max_workers=pool_width) as pool:
+                with ThreadPoolExecutor(max_workers=self.workers) as pool:
                     packed = list(
                         pool.map(
                             lambda task: obs.run_with_context(

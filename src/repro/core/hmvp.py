@@ -104,14 +104,14 @@ class HmvpOpCount:
 
     @classmethod
     def for_request(
-        cls, rows: int, cols: int, ring: int, tile_rows: int, limbs: int
+        cls, rows: int, cols: int, ring: int, limbs: int
     ) -> "HmvpOpCount":
         """Op mix of one request against a resident ``rows x cols`` matrix.
 
         One cached dot-product stage per ring-wide column tile, the LWE
-        additions that merge column tiles, and one pack per row tile of
-        ``tile_rows`` rows.  Sharding a matrix moves where these run,
-        never how many there are.
+        additions that merge column tiles, and one pack per ring-wide row
+        tile.  Sharding a matrix moves where these run, never how many
+        there are.
         """
         limbs_aug = limbs + 1
         ops = cls()
@@ -121,8 +121,8 @@ class HmvpOpCount:
         col_tiles = -(-cols // ring)
         if col_tiles > 1:
             ops.lwe_additions += rows * (col_tiles - 1)
-        for row_start in range(0, rows, tile_rows):
-            count = min(tile_rows, rows - row_start)
+        for row_start in range(0, rows, ring):
+            count = min(ring, rows - row_start)
             ops = ops + cls.for_pack(count, limbs, limbs_aug)
         return ops
 

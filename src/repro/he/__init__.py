@@ -27,7 +27,7 @@ from .rlwe import RlweCiphertext, decrypt, encrypt, encrypt_pk
 from .lwe import LweCiphertext, decrypt_lwe, extract_lwe, lwe_to_rlwe
 from .keyswitch import apply_keyswitch, key_switch_raw
 from .automorphism import apply_automorphism, apply_automorphism_with_key
-from .packing import PackedResult, pack_lwes, pack_reduction_count
+from .packing import PackedResult, pack_lwes
 from .noise import (
     NoiseModel,
     absolute_noise_bits,
@@ -40,7 +40,6 @@ from .ckks import CkksCiphertext, CkksScheme, CkksSlotEncoder
 from .conversion import bfv_to_ckks, ckks_to_bfv, max_exact_message
 from .paillier import Paillier, paillier_keygen
 from .serialization import (
-    CommunicationLedger,
     deserialize_lwe,
     deserialize_plaintext,
     deserialize_rlwe,
@@ -86,7 +85,6 @@ __all__ = [
     "apply_automorphism_with_key",
     "PackedResult",
     "pack_lwes",
-    "pack_reduction_count",
     "NoiseModel",
     "absolute_noise_bits",
     "invariant_noise_budget",
@@ -104,7 +102,6 @@ __all__ = [
     "max_exact_message",
     "Paillier",
     "paillier_keygen",
-    "CommunicationLedger",
     "deserialize_lwe",
     "deserialize_plaintext",
     "deserialize_rlwe",

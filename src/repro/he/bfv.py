@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .context import CheContext
-from .encoder import CoefficientEncoder, FixedPointCodec, Plaintext
+from .encoder import CoefficientEncoder, Plaintext
 from .keys import (
     GaloisKeyset,
     PublicKey,
@@ -115,11 +115,6 @@ class BfvScheme:
 
     def pack(self, lwes: List[LweCiphertext]) -> PackedResult:
         return pack_lwes(lwes, self.galois_keys)
-
-    # -- fixed point -----------------------------------------------------------------
-
-    def fixed_point(self, frac_bits: int = 13) -> FixedPointCodec:
-        return FixedPointCodec(self.params.plain_modulus, frac_bits)
 
     # -- diagnostics -----------------------------------------------------------------
 

@@ -25,7 +25,6 @@ targets — it is a functional model, not a performance kernel).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -211,22 +210,7 @@ class CkksScheme:
             raise ValueError("ciphertext is slot-encoded")
         return self.decrypt_raw(ct)[:count] / ct.scale
 
-    def decrypt_slots(self, ct: CkksCiphertext, count: int) -> np.ndarray:
-        if ct.encoding != "slot":
-            raise ValueError("ciphertext is coefficient-encoded")
-        return self.slot_encoder.decode(self.decrypt_raw(ct), ct.scale, count)
-
     # -- homomorphic operations ------------------------------------------------------------
-
-    def multiply_plain_coeffs(
-        self, ct: CkksCiphertext, values: Sequence[float], scale: Optional[float] = None
-    ) -> CkksCiphertext:
-        """Multiply by a coefficient-encoded real plaintext polynomial."""
-        scale = scale or self.default_scale
-        vals = np.asarray(values, dtype=np.float64)
-        scaled = np.zeros(self.params.n, dtype=np.int64)
-        scaled[: vals.shape[0]] = np.rint(vals * scale).astype(np.int64)
-        return self._multiply_scaled_poly(ct, scaled, scale)
 
     def _multiply_scaled_poly(
         self, ct: CkksCiphertext, scaled: np.ndarray, scale: float
@@ -310,11 +294,3 @@ class CkksScheme:
     ) -> np.ndarray:
         raw = self.decrypt_raw(ct)
         return raw[: count * stride : stride] / ct.scale
-
-    # -- diagnostics -----------------------------------------------------------------------------
-
-    def precision_bits(self, ct: CkksCiphertext) -> float:
-        """log2(scale / expected-noise): the usable fractional precision."""
-        sigma = self.params.error_std
-        noise = 6 * sigma * math.sqrt(self.params.n)
-        return math.log2(ct.scale / noise)

@@ -46,10 +46,6 @@ class Plaintext:
         c = self.coeffs.astype(np.int64)  # repro: noqa REPRO102
         return np.where(c > half, c - self.t, c)
 
-    def infinity_norm(self) -> int:
-        """Max |coefficient| under the centered lift (noise analysis)."""
-        return int(np.abs(self.centered()).max(initial=0))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Plaintext)
@@ -83,10 +79,6 @@ class CoefficientEncoder:
         coeffs[: vals.shape[0]] = self._reduce(vals)
         return Plaintext(coeffs, self.t)
 
-    def decode_coeffs(self, pt: Plaintext, count: int) -> np.ndarray:
-        """Inverse of :meth:`encode_coeffs` (centered signed values)."""
-        return pt.centered()[:count].copy()
-
     # -- Eq. 1 encoders -------------------------------------------------------------
 
     def encode_vector(self, v: Sequence[int]) -> Plaintext:
@@ -110,13 +102,6 @@ class CoefficientEncoder:
             neg = (np.uint64(self.t) - reduced[1:]) % np.uint64(self.t)
             coeffs[self.n - (row.shape[0] - 1) :] = neg[::-1]
         return Plaintext(coeffs, self.t)
-
-    def encode_matrix_rows(self, matrix: np.ndarray) -> "list[Plaintext]":
-        """Row-encode an ``(m, <=n)`` matrix: one plaintext per row."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
-        return [self.encode_row(matrix[i]) for i in range(matrix.shape[0])]
 
     # -- packed-result decoding --------------------------------------------------------
 
@@ -173,7 +158,3 @@ class FixedPointCodec:
         half = self.t // 2
         signed = np.where(arr > half, arr - self.t, arr)
         return signed.astype(np.float64) / float(1 << bits)
-
-    def max_representable(self, scale_bits: Optional[int] = None) -> float:
-        bits = self.frac_bits if scale_bits is None else scale_bits
-        return float(self.t // 2) / float(1 << bits)

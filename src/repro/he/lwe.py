@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..math.modular import modadd_vec, modmul_vec, modneg_vec
+from ..math.modular import modadd_vec, modneg_vec
 from ..math.rns import RnsBasis
 from .context import CheContext
 from .keys import SecretKey
@@ -58,10 +58,6 @@ class LweCiphertext:
                 f"a shape {self.a.shape} != ({len(self.basis)}, {self.ctx.n})"
             )
 
-    @property
-    def dimension(self) -> int:
-        return self.a.shape[1]
-
     def __add__(self, other: "LweCiphertext") -> "LweCiphertext":
         if self.basis.moduli != other.basis.moduli:
             raise ValueError("LWE basis mismatch")
@@ -73,15 +69,6 @@ class LweCiphertext:
         )
         a = np.stack(
             [modadd_vec(self.a[i], other.a[i], q) for i, q in enumerate(self.basis)]
-        )
-        return LweCiphertext(self.ctx, self.basis, b, a)
-
-    def scalar_mul(self, c: int) -> "LweCiphertext":
-        b = np.stack(
-            [modmul_vec(self.b[i : i + 1], np.uint64(c % q), q) for i, q in enumerate(self.basis)]
-        ).reshape(-1)
-        a = np.stack(
-            [modmul_vec(self.a[i], np.uint64(c % q), q) for i, q in enumerate(self.basis)]
         )
         return LweCiphertext(self.ctx, self.basis, b, a)
 

@@ -161,12 +161,6 @@ class NoiseModel:
             out = self.pack_level(out, ks_noise)
         return out
 
-    def budget_bits(self, noise_abs: float) -> float:
-        """Invariant budget implied by an absolute noise estimate."""
-        if noise_abs <= 0:
-            return float(self.q.bit_length())
-        return math.log2(self.q) - math.log2(2.0 * self.t * noise_abs)
-
     @classmethod
     def for_context(cls, ctx: CheContext) -> "NoiseModel":
         params = ctx.params

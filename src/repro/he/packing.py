@@ -48,7 +48,6 @@ __all__ = [
     "PackedResult",
     "pack_lwes",
     "pack_stacked_lwes",
-    "pack_reduction_count",
 ]
 
 #: Coefficients one stacked kernel call is sized to touch.  PACKLWES
@@ -82,10 +81,6 @@ class PackedResult:
     count: int
     scale_pow2: int
     reductions: int
-
-    @property
-    def slot_stride(self) -> int:
-        return self.ct.ctx.n >> self.scale_pow2
 
 
 def pack_lwes(
@@ -221,11 +216,3 @@ def _pack_tree(
         ]
     obs.inc("he.pack.calls", reqs)
     return packs
-
-
-def pack_reduction_count(m: int) -> int:
-    """PACKTWOLWES invocations to pack ``m`` inputs (paper: 4095 for 4096)."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    levels = max(m - 1, 0).bit_length()
-    return (1 << levels) - 1

@@ -140,11 +140,6 @@ class Paillier:
     def decrypt_vector(self, cts: Iterable[int]) -> List[int]:
         return [self.decrypt(c) for c in cts]
 
-    def add_vectors(self, a: List[int], b: List[int]) -> List[int]:
-        if len(a) != len(b):
-            raise ValueError("length mismatch")
-        return [self.add(x, y) for x, y in zip(a, b)]
-
     def matvec(
         self, matrix: Sequence[Sequence[int]], ct_vector: List[int]
     ) -> List[int]:

@@ -147,16 +147,6 @@ class CheParams:
         return self.q_product * self.special_modulus
 
     @property
-    def delta(self) -> int:
-        """BFV scaling factor in the normal basis: ``floor(Q / t)``."""
-        return self.q_product // self.plain_modulus
-
-    @property
-    def delta_aug(self) -> int:
-        """Scaling factor for augmented-fresh ciphertexts: ``floor(Qp / t)``."""
-        return self.qp_product // self.plain_modulus
-
-    @property
     def total_modulus_bits(self) -> int:
         return self.qp_product.bit_length()
 

@@ -33,7 +33,7 @@ from ..math.modular import (
     modneg_vec,
     modsub_vec,
 )
-from ..math.polynomial import automorph, monomial_multiply
+from ..math.polynomial import automorph
 from ..math.rns import RnsBasis
 from .context import CheContext
 from .encoder import Plaintext
@@ -108,24 +108,12 @@ class RlweCiphertext:
         return len(self.basis) == len(self.ctx.aug_basis)
 
     @property
-    def delta(self) -> int:
-        """Nominal message scaling factor ``floor(M/t)`` (reporting only;
-        the exact embedded scale is the rational ``M/t``)."""
-        return self.basis.product // self.ctx.t
-
-    @property
     def poly_count(self) -> int:
         """Number of single-modulus polynomials (the paper's accounting)."""
         return 2 * len(self.basis)
 
     def copy(self) -> "RlweCiphertext":
         return RlweCiphertext(self.ctx, self.basis, self.c0.copy(), self.c1.copy())
-
-    @classmethod
-    def zero(cls, ctx: CheContext, basis: RnsBasis) -> "RlweCiphertext":
-        """The transparent encryption of zero (used to pad PACKLWES)."""
-        shape = (len(basis), ctx.n)
-        return cls(ctx, basis, np.zeros(shape, np.uint64), np.zeros(shape, np.uint64))
 
     def _check(self, other: "RlweCiphertext") -> None:
         if self.basis.moduli != other.basis.moduli:
@@ -197,27 +185,7 @@ class RlweCiphertext:
             out = [self.ctx.intt_limbs(prod, self.basis) for prod in prods]
         return RlweCiphertext(self.ctx, self.basis, out[0], out[1])
 
-    def multiply_scalar(self, value: int) -> "RlweCiphertext":
-        """Multiply message (and noise) by a small integer scalar."""
-        c0 = np.stack(
-            [modmul_vec(self.c0[i], np.uint64(value % q), q) for i, q in enumerate(self.basis)]
-        )
-        c1 = np.stack(
-            [modmul_vec(self.c1[i], np.uint64(value % q), q) for i, q in enumerate(self.basis)]
-        )
-        return RlweCiphertext(self.ctx, self.basis, c0, c1)
-
     # -- PPU operations on ciphertexts (Table I, lifted per-component) ---------------
-
-    def multiply_monomial(self, exponent: int) -> "RlweCiphertext":
-        """MULTMONO: multiply by ``X^exponent`` (noise-free)."""
-        c0 = np.stack(
-            [monomial_multiply(self.c0[i], exponent, q) for i, q in enumerate(self.basis)]
-        )
-        c1 = np.stack(
-            [monomial_multiply(self.c1[i], exponent, q) for i, q in enumerate(self.basis)]
-        )
-        return RlweCiphertext(self.ctx, self.basis, c0, c1)
 
     def automorph_raw(self, g: int) -> "RlweCiphertext":
         """AUTOMORPH both components; the result decrypts under ``s(X^g)``.
@@ -244,29 +212,6 @@ class RlweCiphertext:
         c0 = self.basis.rescale_last(self.c0)
         c1 = self.basis.rescale_last(self.c1)
         return RlweCiphertext(self.ctx, self.ctx.ct_basis, c0, c1)
-
-    # -- circuit privacy ----------------------------------------------------------------
-
-    def flood_noise(self, bits: int) -> "RlweCiphertext":
-        """Add uniform noise of ``bits`` bits (noise flooding).
-
-        In the two-party protocol of Section II-F, party B returns a
-        ciphertext whose noise is a deterministic function of B's secret
-        matrix; flooding with noise exponentially larger than the
-        computation noise statistically hides it from party A (the
-        standard circuit-privacy countermeasure for Cheetah-style
-        protocols).  Costs ``bits`` of budget; the caller must keep
-        ``bits`` below the remaining margin.
-        """
-        ctx = self.ctx
-        flood = ctx.rng.integers(
-            -(1 << bits), (1 << bits) + 1, ctx.n, dtype=np.int64
-        )
-        limbs = ctx.signed_to_limbs(flood, self.basis)
-        c0 = np.stack(
-            [modadd_vec(self.c0[i], limbs[i], q) for i, q in enumerate(self.basis)]
-        )
-        return RlweCiphertext(ctx, self.basis, c0, self.c1.copy())
 
     # -- decryption helpers --------------------------------------------------------------
 

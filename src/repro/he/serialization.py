@@ -1,4 +1,4 @@
-"""Wire formats and communication-cost accounting.
+"""Wire formats for every object the two-party protocols exchange.
 
 HE's bandwidth blow-up (×10² to ×10⁵, per the paper's introduction) is
 what the two-party protocols pay on the network, so the library ships a
@@ -9,16 +9,12 @@ compact binary wire format for every exchanged object:
   per coefficient, bit-packed) — a normal-basis N=4096 ciphertext is
   ~71.7 KiB on the wire instead of the 128 KiB naive uint64 dump;
 * versioned headers so persisted keys survive library upgrades.
-
-:class:`CommunicationLedger` tallies protocol traffic so the application
-benches can report bytes-exchanged alongside time.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -48,7 +44,6 @@ __all__ = [
     "deserialize_keyswitch_key",
     "serialize_galois_keyset",
     "deserialize_galois_keyset",
-    "CommunicationLedger",
 ]
 
 MAGIC = b"CHAM"
@@ -207,30 +202,6 @@ def rlwe_wire_bytes(n: int, moduli: Tuple[int, ...]) -> int:
     """Exact wire size of an RLWE ciphertext (header + packed limbs)."""
     body = sum(2 * ((_bits_for(q) * n + 7) // 8) for q in moduli)
     return 12 + body
-
-
-@dataclass
-class CommunicationLedger:
-    """Byte tally per protocol direction/message kind."""
-
-    entries: List[Tuple[str, int]] = field(default_factory=list)
-
-    def record(self, label: str, payload: bytes) -> bytes:
-        self.entries.append((label, len(payload)))
-        return payload
-
-    def record_size(self, label: str, size: int) -> None:
-        self.entries.append((label, size))
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(size for _l, size in self.entries)
-
-    def by_label(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for label, size in self.entries:
-            out[label] = out.get(label, 0) + size
-        return out
 
 
 # -- key material -------------------------------------------------------------

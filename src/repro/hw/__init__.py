@@ -41,9 +41,7 @@ from .dse import (
     DesignPoint,
     achievable_clock_mhz,
     enumerate_design_space,
-    frequency_adjusted_rows_per_sec,
     pareto_front,
-    run_dse,
 )
 from .hetero import ChunkTiming, HeteroSchedule, simulate_hetero
 from .perf import (
@@ -124,10 +122,8 @@ __all__ = [
     "roofline_points",
     "DesignPoint",
     "achievable_clock_mhz",
-    "frequency_adjusted_rows_per_sec",
     "enumerate_design_space",
     "pareto_front",
-    "run_dse",
     "ChunkTiming",
     "HeteroSchedule",
     "simulate_hetero",

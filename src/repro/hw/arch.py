@@ -20,7 +20,7 @@ transform lanes (15 units) — 30 per engine, 60 in the two-engine design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "NttUnitConfig",
@@ -51,10 +51,6 @@ class NttUnitConfig:
     def cycles(self) -> int:
         """Bubble-free transform latency: ``(N/2 * log2 N) / n_bfu``."""
         return (self.n // 2) * self.log2_n // self.n_bfu
-
-    @property
-    def coefficients_per_cycle(self) -> int:
-        return 2 * self.n_bfu
 
 
 @dataclass(frozen=True)
@@ -125,9 +121,6 @@ class ChamConfig:
     @property
     def total_ntt_units(self) -> int:
         return self.engines * self.engine.total_ntt_units
-
-    def with_engines(self, engines: int) -> "ChamConfig":
-        return replace(self, engines=engines)
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,6 @@ class Accelerator:
             return None
         return self.ntt_cycles * self.ntt_parallelism
 
-    @property
-    def ntt_rate_per_unit(self) -> Optional[float]:
-        if self.ntt_cycles is None:
-            return None
-        return self.clock_mhz * 1e6 / self.ntt_cycles
-
 
 #: published figures, as quoted in the paper and the cited works
 KNOWN_ACCELERATORS: Dict[str, Accelerator] = {

@@ -24,7 +24,7 @@ from .arch import ChamConfig, EngineConfig, FpgaDevice, NttUnitConfig, VU9P
 from .pipeline import MacroPipeline
 from .resources import ResourceVector, total_resources, utilization
 
-__all__ = ["DesignPoint", "enumerate_design_space", "pareto_front", "run_dse"]
+__all__ = ["DesignPoint", "enumerate_design_space", "pareto_front"]
 
 #: the paper's place-and-route headroom rule
 MAX_UTILIZATION = 0.75
@@ -156,12 +156,6 @@ def pareto_front(points: List[DesignPoint]) -> List[DesignPoint]:
     return sorted(front, key=lambda p: -p.rows_per_sec)
 
 
-def run_dse(device: FpgaDevice = VU9P) -> "tuple[List[DesignPoint], List[DesignPoint]]":
-    """Full sweep + frontier (the Fig. 2b scatter and its upper hull)."""
-    points = enumerate_design_space(device=device)
-    return points, pareto_front(points)
-
-
 def achievable_clock_mhz(point: DesignPoint) -> float:
     """Empirical P&R timing model: congestion costs Fmax.
 
@@ -173,9 +167,3 @@ def achievable_clock_mhz(point: DesignPoint) -> float:
     """
     derated = 400.0 - 1.5 * point.max_utilization_pct
     return max(150.0, min(350.0, derated))
-
-
-def frequency_adjusted_rows_per_sec(point: DesignPoint) -> float:
-    """Throughput re-priced at the achievable clock instead of 300 MHz."""
-    nominal_clock = 300.0
-    return point.rows_per_sec * achievable_clock_mhz(point) / nominal_clock

@@ -40,17 +40,6 @@ class HeteroSchedule:
     serial_s: float
 
     @property
-    def overlap_speedup(self) -> float:
-        """Serial execution time divided by pipelined time."""
-        return self.serial_s / self.total_s if self.total_s else 1.0
-
-    @property
-    def offload_fraction(self) -> float:
-        """Fraction of total work time spent on the FPGA (paper: >90%)."""
-        denom = self.cpu_busy_s + self.fpga_busy_s
-        return self.fpga_busy_s / denom if denom else 0.0
-
-    @property
     def fpga_utilization(self) -> float:
         return self.fpga_busy_s / self.total_s if self.total_s else 0.0
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..math.cg_ntt import CgSchedule, constant_geometry_schedule
 from ..math.modular import modadd_vec, modmul_vec, modsub_vec
+from ..math.ntt import NegacyclicNtt
 from .arch import NttUnitConfig
 
 __all__ = ["BankAccessLog", "NttDatapathSim", "DatapathReport"]
@@ -82,10 +83,6 @@ class DatapathReport:
     #: distinct (bank -> BFU operand) routing patterns observed; constant
     #: geometry means this stays tiny and stage-independent
     routing_patterns: Set[Tuple[int, ...]] = field(default_factory=set)
-
-    @property
-    def is_constant_geometry(self) -> bool:
-        return len(self.routing_patterns) <= 2  # up-row and down-row patterns
 
 
 class NttDatapathSim:
@@ -193,73 +190,4 @@ class NttDatapathSim:
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Functional inverse (mirrored network), without event logging."""
-        from ..math.cg_ntt import CgNtt
-
-        return CgNtt(self.unit.n, self.q).inverse(a)
-
-    def inverse_with_report(self, a: np.ndarray) -> Tuple[np.ndarray, DatapathReport]:
-        """Run the inverse CG network with full bank-event logging.
-
-        The INTT geometry is the forward network mirrored: each group
-        reads two *consecutive* output rows ``[2gB .. 2gB+2B)`` and
-        writes one low-half row ``[gB ..]`` and one high-half row
-        ``[N/2+gB ..]`` — still one bank row per cycle per port, still a
-        single routing pattern (the units share the ping-pong RAMs).
-        """
-        unit = self.unit
-        n, q = unit.n, self.q
-        half = n // 2
-        banks = unit.ram_banks
-
-        a = np.asarray(a, dtype=np.uint64)
-        if a.shape != (n,):
-            raise ValueError(f"expected shape ({n},)")
-        state = a.copy()
-        log = BankAccessLog()
-        routing: Set[Tuple[int, ...]] = set()
-        cycle = 0
-
-        for stage_back, stage in enumerate(range(self.schedule.stages - 1, -1, -1)):
-            src_set = stage_back % 2
-            dst_set = 1 - src_set
-            w_inv = self.schedule.inv_twiddles[stage]
-            out = np.empty(n, dtype=np.uint64)
-            for g in range(n // (2 * banks)):
-                j = np.arange(g * banks, (g + 1) * banks)
-                in_base = 2 * g * banks
-                for row in range(2):
-                    for k in range(in_base + row * banks, in_base + (row + 1) * banks):
-                        bank, addr = self._bank_of(k)
-                        log.reads.append((cycle + row, src_set, bank, addr))
-
-                even = state[2 * j]
-                odd = state[2 * j + 1]
-                out[j] = modadd_vec(even, odd, q)
-                out[j + half] = modmul_vec(modsub_vec(even, odd, q), w_inv[j], q)
-
-                for k in j:
-                    bank, addr = self._bank_of(int(k))
-                    log.writes.append((cycle + 2, dst_set, bank, addr))
-                for k in j + half:
-                    bank, addr = self._bank_of(int(k))
-                    log.writes.append((cycle + 3, dst_set, bank, addr))
-
-                pattern = tuple(int((2 * k) % banks) for k in j) + tuple(
-                    int((2 * k + 1) % banks) for k in j
-                )
-                routing.add(pattern)
-                cycle += 2
-            cycle += 2
-            state = out
-
-        state = modmul_vec(state, np.uint64(self.schedule.n_inv), q)
-        steady = (half * self.schedule.stages) // unit.n_bfu
-        return state, DatapathReport(
-            cycles=cycle, steady_cycles=steady, log=log, routing_patterns=routing
-        )
-
-    def twiddle_rom_words(self) -> int:
-        """Words per BFU twiddle ROM: ``(N/2 * log2 N) / n_bfu`` entries
-        shared round-robin — Section IV-A2's 'size equal to a polynomial'
-        refers to the N distinct factors, stored once per unit."""
-        return (self.unit.n // 2) * self.unit.log2_n // self.unit.n_bfu
+        return NegacyclicNtt(self.unit.n, self.q).inverse(a)

@@ -51,17 +51,6 @@ class PipelineTrace:
     def max_pack_level(self) -> int:
         return max((e.detail for e in self.pack_events), default=0)
 
-    def first_overlap_cycle(self) -> Optional[int]:
-        """First pack start while dot products are still arriving —
-        the pipelining the macro-architecture exists for."""
-        if not self.pack_events or not self.dot_events:
-            return None
-        last_dot = self.dot_events[-1].cycle
-        for e in self.pack_events:
-            if e.cycle < last_dot:
-                return e.cycle
-        return None
-
 
 def capture_trace(
     engine: EngineConfig, rows: int, col_tiles: int = 1

@@ -11,18 +11,16 @@ model it is pinned to lives in ``tests/oracles.py``.
 from .modular import (
     BarrettReducer,
     LowHammingModulus,
-    center_lift,
     center_lift_vec,
     modadd_vec,
     modinv,
     modmul_vec,
     modneg_vec,
-    modpow,
     modsub_vec,
 )
-from .ntt import NegacyclicNtt, intt, negacyclic_convolution_schoolbook, ntt
-from .cg_ntt import CgNtt, CgSchedule, cg_ntt_cycles, constant_geometry_schedule
-from .polynomial import RingPoly, automorph, monomial_multiply, rev, shiftneg
+from .ntt import NegacyclicNtt
+from .cg_ntt import CgSchedule, cg_ntt_cycles, constant_geometry_schedule
+from .polynomial import automorph, shiftneg
 from .primes import (
     CHAM_P,
     CHAM_Q0,
@@ -35,31 +33,22 @@ from .primes import (
     primitive_root,
     root_of_unity,
 )
-from .rns import RnsBasis, RnsPoly
+from .rns import RnsBasis
 
 __all__ = [
     "BarrettReducer",
     "LowHammingModulus",
-    "center_lift",
     "center_lift_vec",
     "modadd_vec",
     "modinv",
     "modmul_vec",
     "modneg_vec",
-    "modpow",
     "modsub_vec",
     "NegacyclicNtt",
-    "ntt",
-    "intt",
-    "negacyclic_convolution_schoolbook",
-    "CgNtt",
     "CgSchedule",
     "cg_ntt_cycles",
     "constant_geometry_schedule",
-    "RingPoly",
     "automorph",
-    "monomial_multiply",
-    "rev",
     "shiftneg",
     "CHAM_P",
     "CHAM_Q0",
@@ -72,5 +61,4 @@ __all__ = [
     "primitive_root",
     "root_of_unity",
     "RnsBasis",
-    "RnsPoly",
 ]

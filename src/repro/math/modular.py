@@ -2,14 +2,14 @@
 
 CHAM's moduli are at most 39 bits wide (``p = 2**38 + 2**23 + 1``), so a
 product of two residues can reach 78 bits and does not fit in a NumPy
-``uint64``.  :func:`modmul_vec` (via :func:`modmul_vec_barrett`) is
-exact anyway: a floating-point Barrett reduction with the per-modulus
-reciprocal ``mu = RN(1/q)`` precomputed in :class:`_ReducerCache`.  One
-float multiply estimates the quotient to within ±1; wrap-around
-``uint64`` arithmetic recovers the exact remainder with two conditional
-subtractions (proof in the docstring).  The property tests in
-``tests/test_fastpath_properties.py`` check it bit for bit against the
-split-operand reference ``modmul_vec_split`` in ``tests/oracles.py``.
+``uint64``.  :func:`modmul_vec` is exact anyway: a floating-point Barrett
+reduction with the per-modulus reciprocal ``mu = RN(1/q)`` precomputed in
+:class:`_ReducerCache`.  One float multiply estimates the quotient to
+within ±1; wrap-around ``uint64`` arithmetic recovers the exact remainder
+with two conditional subtractions (proof in the docstring).  The
+property tests in ``tests/test_fastpath_properties.py`` check it bit for
+bit against the split-operand reference ``modmul_vec_split`` in
+``tests/oracles.py``.
 
 The module also provides the *hardware* reduction path used by CHAM: the
 paper chooses low-Hamming-weight primes (three non-zero bits each) so that
@@ -34,11 +34,8 @@ __all__ = [
     "modsub_vec",
     "modneg_vec",
     "modmul_vec",
-    "modmul_vec_barrett",
     "modmul_scalar_vec",
-    "modpow",
     "modinv",
-    "center_lift",
     "center_lift_vec",
     "reduce_signed_vec",
     "LowHammingModulus",
@@ -49,7 +46,7 @@ __all__ = [
 
 #: Largest modulus width (bits) for which :func:`modmul_vec` is exact:
 #: below 2**41 the Barrett quotient estimate is off by at most one
-#: (see :func:`modmul_vec_barrett`).
+#: (see :func:`modmul_vec`).
 MAX_MODULUS_BITS = 41
 
 IntArray = np.ndarray
@@ -196,36 +193,6 @@ def _check_modulus_bits(q: ModulusLike) -> None:
         )
 
 
-def modmul_vec_barrett(a: IntArray, b: IntArray, q: ModulusLike) -> IntArray:
-    """Coefficient-wise ``(a * b) mod q`` via floating-point Barrett.
-
-    Exactness: with ``a, b < q < 2**41`` the true product ``p = a*b`` is
-    below ``2**82`` and the true quotient ``p/q`` below ``2**41``.  The
-    estimate ``est = fl(fl(a) * fl(b) * mu)`` accumulates at most three
-    roundings of relative size ``2**-53`` on top of ``mu``'s own, so
-    ``|est - p/q| < 2**41 * 2**-51 < 1``, hence
-    ``floor(est) in {Q-1, Q, Q+1}`` for ``Q = floor(p/q)``.  The raw
-    residue ``r = p - floor(est)*q`` then lies in ``(-q, 2q)``; computed
-    in wrap-around ``uint64`` arithmetic exactly one of
-    ``{r, r+q, r-q}`` equals the true remainder in ``[0, q)`` while the
-    other two either exceed ``q`` or wrap around to values near
-    ``2**64`` — an unsigned minimum selects it exactly.
-
-    ``q`` may be an array column (one modulus per leading slice), which
-    is what the fused-limb NTT and key-switch kernels rely on.
-    """
-    a = _as_u64(a)
-    b = _as_u64(b)
-    if isinstance(q, (int, np.integer)):
-        red = _REDUCERS.get(int(q))
-        return _barrett_core(a, b, red.qq, red.mu)
-    qq = _as_u64(q)
-    mu = _column_mu(qq)
-    if mu is None:
-        mu = 1.0 / qq.astype(np.float64)
-    return _barrett_core(a, b, qq, mu)
-
-
 def _barrett_core(
     a: IntArray,
     b: IntArray,
@@ -249,17 +216,30 @@ def _barrett_core(
     # the quotient estimate is off by at most one, so the raw residue is
     # in (-q, 2q): exactly one of {r, r+q, r-q} lands in [0, q) and
     # uint64 wrap-around makes the other two enormous — unsigned min
-    # selects the exact remainder (see modmul_vec_barrett docstring)
+    # selects the exact remainder (see the modmul_vec docstring)
     np.minimum(r, np.add(r, qq, out=scratch), out=scratch)
     np.minimum(scratch, np.subtract(r, qq, out=r), out=r)
     return r if r.ndim else r[()]  # 0-d operands give a scalar, as ufuncs do
 
 
 def modmul_vec(a: IntArray, b: IntArray, q: ModulusLike) -> IntArray:
-    """Coefficient-wise ``(a * b) mod q`` for ``q < 2**MAX_MODULUS_BITS``.
+    """Coefficient-wise ``(a * b) mod q`` via floating-point Barrett.
 
-    The Barrett path of :func:`modmul_vec_barrett` with call and
-    coefficient counters.
+    Exactness: with ``a, b < q < 2**41`` the true product ``p = a*b`` is
+    below ``2**82`` and the true quotient ``p/q`` below ``2**41``.  The
+    estimate ``est = fl(fl(a) * fl(b) * mu)`` accumulates at most three
+    roundings of relative size ``2**-53`` on top of ``mu``'s own, so
+    ``|est - p/q| < 2**41 * 2**-51 < 1``, hence
+    ``floor(est) in {Q-1, Q, Q+1}`` for ``Q = floor(p/q)``.  The raw
+    residue ``r = p - floor(est)*q`` then lies in ``(-q, 2q)``; computed
+    in wrap-around ``uint64`` arithmetic exactly one of
+    ``{r, r+q, r-q}`` equals the true remainder in ``[0, q)`` while the
+    other two either exceed ``q`` or wrap around to values near
+    ``2**64`` — an unsigned minimum selects it exactly.
+
+    ``q`` may be an array column (one modulus per leading slice), which
+    is what the fused-limb NTT and key-switch kernels rely on.  Calls and
+    result coefficients are counted on the metrics registry.
     """
     a = _as_u64(a)
     b = _as_u64(b)
@@ -297,11 +277,6 @@ def modmul_scalar_vec(a: IntArray, s: Union[int, np.integer], q: int) -> IntArra
     return modmul_vec(a, np.uint64(int(s) % q), q)
 
 
-def modpow(base: int, exp: int, q: int) -> int:
-    """Scalar modular exponentiation (delegates to ``pow``)."""
-    return pow(base % q, exp, q)
-
-
 def modinv(a: int, q: int) -> int:
     """Multiplicative inverse of ``a`` modulo prime or coprime ``q``."""
     a %= q
@@ -322,12 +297,6 @@ def _ext_gcd(a: int, b: int) -> Tuple[int, int]:
         old_r, r = r, old_r - k * r
         old_x, x = x, old_x - k * x
     return old_r, old_x
-
-
-def center_lift(a: int, q: int) -> int:
-    """Map ``a mod q`` to the centered representative in ``(-q/2, q/2]``."""
-    a %= q
-    return a - q if a > q // 2 else a
 
 
 def center_lift_vec(a: IntArray, q: int) -> np.ndarray:

@@ -28,9 +28,6 @@ __all__ = [
     "NegacyclicNtt",
     "FusedLimbNtt",
     "fused_limb_ntt",
-    "ntt",
-    "intt",
-    "negacyclic_convolution_schoolbook",
 ]
 
 #: The float twiddle quotients are scaled down by this factor, so the
@@ -405,45 +402,3 @@ class NegacyclicNtt:
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Negacyclic product ``a * b mod (X^n + 1, q)`` via NTT."""
         return self.inverse(self.pointwise(self.forward(a), self.forward(b)))
-
-
-@lru_cache(maxsize=None)
-def _context(n: int, q: int) -> NegacyclicNtt:
-    return NegacyclicNtt(n, q)
-
-
-def ntt(a: np.ndarray, q: int) -> np.ndarray:
-    """Functional forward negacyclic NTT (context cached per ``(n, q)``)."""
-    a = np.asarray(a, dtype=np.uint64)
-    return _context(a.shape[-1], q).forward(a)
-
-
-def intt(a: np.ndarray, q: int) -> np.ndarray:
-    """Functional inverse negacyclic NTT."""
-    a = np.asarray(a, dtype=np.uint64)
-    return _context(a.shape[-1], q).inverse(a)
-
-
-def negacyclic_convolution_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """O(n²) negacyclic convolution — the correctness oracle for the NTTs.
-
-    ``c_k = sum_{i+j=k} a_i b_j - sum_{i+j=k+n} a_i b_j (mod q)``.
-    """
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    n = a.shape[-1]
-    if b.shape[-1] != n:
-        raise ValueError("length mismatch")
-    c = np.zeros(n, dtype=object)
-    for i in range(n):
-        ai = int(a[i])
-        if ai == 0:
-            continue
-        for j in range(n):
-            k = i + j
-            term = ai * int(b[j])
-            if k < n:
-                c[k] += term
-            else:
-                c[k - n] -= term
-    return np.asarray(np.mod(c, q), dtype=np.uint64)

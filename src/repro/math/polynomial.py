@@ -1,14 +1,13 @@
-"""Ring polynomials in ``Z_q[X]/(X^N + 1)`` and the Table I PPU operations.
+"""The Table I PPU operations on ring polynomials in ``Z_q[X]/(X^N + 1)``.
 
 CHAM's polynomial processing units (PPUs, Section IV-B) operate on the
 coefficient vector of a polynomial; LWE ciphertext vectors share the same
-storage, so all of Table I is exposed here both as methods of
-:class:`RingPoly` and as free functions over raw coefficient arrays:
+storage.  The HE layer holds raw ``(L, ..., n)`` limb stacks, so these are
+free functions over coefficient arrays (MODADD and MODMUL are
+:func:`~repro.math.modular.modadd_vec` and
+:func:`~repro.math.modular.modmul_vec`):
 
 =============  ==========================================================
-MODADD(A, B)   coefficient-wise modular addition
-MODMUL(A, B)   coefficient-wise modular multiplication
-REV(A)         coefficient order reversal
 SHIFTNEG(A,s)  negacyclic circular shift (multiply by ``X^s``)
 AUTOMORPH(A,k) the Galois map ``a(X) -> a(X^k)``
 =============  ==========================================================
@@ -17,34 +16,17 @@ AUTOMORPH(A,k) the Galois map ``a(X) -> a(X^k)``
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
-from .modular import (
-    ModulusLike,
-    modadd_vec,
-    modinv,
-    modmul_vec,
-    modneg_vec,
-    modsub_vec,
-)
-from .ntt import NegacyclicNtt, freeze_array
+from .modular import ModulusLike, modneg_vec
+from .ntt import freeze_array
 
 __all__ = [
-    "RingPoly",
-    "rev",
     "shiftneg",
     "automorph",
     "automorph_permutation",
-    "monomial_multiply",
 ]
-
-
-def rev(coeffs: np.ndarray, q: int) -> np.ndarray:
-    """REV of Table I: ``[a_{N-1}, ..., a_1, a_0]``."""
-    del q  # REV is modulus-independent; kept for a uniform PPU signature
-    return np.asarray(coeffs, dtype=np.uint64)[..., ::-1].copy()
 
 
 def shiftneg(coeffs: np.ndarray, s: int, q: ModulusLike) -> np.ndarray:
@@ -104,141 +86,3 @@ def automorph(coeffs: np.ndarray, k: int, q: ModulusLike) -> np.ndarray:
     src, flip = automorph_permutation(a.shape[-1], k)
     out = a[..., src]
     return np.where(flip, modneg_vec(out, q), out)
-
-
-def monomial_multiply(coeffs: np.ndarray, exponent: int, q: int) -> np.ndarray:
-    """MULTMONO: multiply a polynomial by ``X^exponent`` (alias of SHIFTNEG)."""
-    return shiftneg(coeffs, exponent, q)
-
-
-class RingPoly:
-    """A polynomial in ``Z_q[X]/(X^N + 1)``, stored as ``uint64`` residues.
-
-    Arithmetic operators return new polynomials; the negacyclic product
-    uses the cached gold-model NTT.  The class is deliberately small: HE
-    objects hold stacks of raw coefficient arrays (one per RNS limb) for
-    speed, and drop into :class:`RingPoly` at API boundaries and in tests.
-    """
-
-    __slots__ = ("coeffs", "q")
-
-    def __init__(self, coeffs: Union[np.ndarray, list], q: int) -> None:
-        arr = np.asarray(coeffs)
-        if arr.ndim != 1:
-            raise ValueError("RingPoly is one-dimensional")
-        n = arr.shape[0]
-        if n & (n - 1):
-            raise ValueError(f"degree {n} must be a power of two")
-        if arr.dtype == object or np.issubdtype(arr.dtype, np.signedinteger):
-            arr = np.asarray(np.mod(arr.astype(object), q), dtype=np.uint64)
-        else:
-            arr = arr.astype(np.uint64) % np.uint64(q)
-        self.coeffs = arr
-        self.q = q
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int, q: int) -> "RingPoly":
-        return cls(np.zeros(n, dtype=np.uint64), q)
-
-    @classmethod
-    def constant(cls, value: int, n: int, q: int) -> "RingPoly":
-        c = np.zeros(n, dtype=np.uint64)
-        c[0] = value % q
-        return cls(c, q)
-
-    @classmethod
-    def monomial(cls, exponent: int, n: int, q: int) -> "RingPoly":
-        """The monomial ``X^exponent`` (any integer exponent)."""
-        return cls.constant(1, n, q).multmono(exponent)
-
-    @classmethod
-    def random(cls, n: int, q: int, rng: np.random.Generator) -> "RingPoly":
-        return cls(rng.integers(0, q, n, dtype=np.uint64), q)
-
-    # -- properties ----------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-    def _check(self, other: "RingPoly") -> None:
-        if self.q != other.q or self.n != other.n:
-            raise ValueError(
-                f"ring mismatch: (n={self.n}, q={self.q}) vs "
-                f"(n={other.n}, q={other.q})"
-            )
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "RingPoly") -> "RingPoly":
-        self._check(other)
-        return RingPoly(modadd_vec(self.coeffs, other.coeffs, self.q), self.q)
-
-    def __sub__(self, other: "RingPoly") -> "RingPoly":
-        self._check(other)
-        return RingPoly(modsub_vec(self.coeffs, other.coeffs, self.q), self.q)
-
-    def __neg__(self) -> "RingPoly":
-        return RingPoly(modneg_vec(self.coeffs, self.q), self.q)
-
-    def __mul__(self, other: Union["RingPoly", int]) -> "RingPoly":
-        if isinstance(other, int):
-            return self.scalar_mul(other)
-        self._check(other)
-        ntt = NegacyclicNtt(self.n, self.q)
-        return RingPoly(ntt.multiply(self.coeffs, other.coeffs), self.q)
-
-    __rmul__ = __mul__
-
-    def scalar_mul(self, s: int) -> "RingPoly":
-        return RingPoly(
-            modmul_vec(self.coeffs, np.uint64(s % self.q), self.q), self.q
-        )
-
-    def hadamard(self, other: "RingPoly") -> "RingPoly":
-        """MODMUL of Table I (coefficient-wise product)."""
-        self._check(other)
-        return RingPoly(modmul_vec(self.coeffs, other.coeffs, self.q), self.q)
-
-    # -- Table I PPU operations ----------------------------------------------
-
-    def rev(self) -> "RingPoly":
-        return RingPoly(rev(self.coeffs, self.q), self.q)
-
-    def multmono(self, exponent: int) -> "RingPoly":
-        return RingPoly(monomial_multiply(self.coeffs, exponent, self.q), self.q)
-
-    def shiftneg(self, s: int) -> "RingPoly":
-        return RingPoly(shiftneg(self.coeffs, s, self.q), self.q)
-
-    def automorph(self, k: int) -> "RingPoly":
-        return RingPoly(automorph(self.coeffs, k, self.q), self.q)
-
-    # -- evaluation / misc -----------------------------------------------------
-
-    def evaluate(self, x: int) -> int:
-        """Horner evaluation at an integer point (testing aid)."""
-        acc = 0
-        for c in self.coeffs[::-1]:
-            acc = (acc * x + int(c)) % self.q
-        return acc
-
-    def inverse_scalar(self, s: int) -> "RingPoly":
-        """Multiply by ``s^{-1} mod q``."""
-        return self.scalar_mul(modinv(s, self.q))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RingPoly)
-            and self.q == other.q
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - identity hash unused
-        return id(self)
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(int(c)) for c in self.coeffs[:4])
-        return f"RingPoly(n={self.n}, q={self.q}, coeffs=[{head}, ...])"

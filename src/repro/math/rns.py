@@ -7,7 +7,7 @@ adds the 39-bit special modulus ``p``).  This module provides:
 
 * :class:`RnsBasis` — an ordered tuple of NTT-friendly primes with cached
   CRT constants;
-* exact CRT composition/decomposition (bigint, the correctness oracle);
+* exact CRT composition (bigint, the correctness oracle);
 * *fast base extension* (approximate CRT with a float64-computed overflow
   count, the technique hardware uses to avoid bigints) — cross-checked
   against the exact path in the property tests;
@@ -17,7 +17,7 @@ adds the 39-bit special modulus ``p``).  This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Tuple
 
@@ -26,7 +26,7 @@ import numpy as np
 from .modular import modadd_vec, modinv, modmul_vec, modsub_vec, reduce_signed_vec
 from .primes import is_ntt_friendly
 
-__all__ = ["RnsBasis", "RnsPoly"]
+__all__ = ["RnsBasis"]
 
 
 @dataclass(frozen=True)
@@ -111,26 +111,10 @@ class RnsBasis:
     def __iter__(self) -> Iterator[int]:
         return iter(self.moduli)
 
-    def drop_last(self) -> "RnsBasis":
-        """The basis without its final (special) modulus."""
-        if len(self.moduli) < 2:
-            raise ValueError("cannot drop the only modulus")
-        return RnsBasis(self.moduli[:-1], self.n)
-
     def extend(self, extra: Sequence[int]) -> "RnsBasis":
         return RnsBasis(self.moduli + tuple(extra), self.n)
 
     # -- conversions -----------------------------------------------------------
-
-    def decompose(self, values: np.ndarray) -> np.ndarray:
-        """Integer array (object dtype or unsigned) -> residue stack.
-
-        Returns shape ``(L, *values.shape)`` ``uint64``.
-        """
-        arr = np.asarray(values, dtype=object)
-        return np.stack(
-            [np.asarray(np.mod(arr, q), dtype=np.uint64) for q in self.moduli]
-        )
 
     def compose(self, residues: np.ndarray) -> np.ndarray:
         """Residue stack ``(L, ...)`` -> exact integers in ``[0, Q)``.
@@ -246,40 +230,3 @@ class RnsBasis:
         diff = modsub_vec(residues[:-1], rem, q_col)
         return modmul_vec(diff, p_inv.reshape(col), q_col)
 
-
-@dataclass
-class RnsPoly:
-    """A ring polynomial stored as a stack of per-limb residue vectors.
-
-    This is the workhorse representation of the HE layer: shape
-    ``(L, n)`` ``uint64``, limb ``i`` holding the coefficients mod
-    ``basis.moduli[i]``.
-    """
-
-    basis: RnsBasis
-    limbs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.limbs = np.asarray(self.limbs, dtype=np.uint64)
-        if self.limbs.shape != (len(self.basis), self.basis.n):
-            raise ValueError(
-                f"limbs shape {self.limbs.shape} != "
-                f"({len(self.basis)}, {self.basis.n})"
-            )
-
-    @classmethod
-    def zero(cls, basis: RnsBasis) -> "RnsPoly":
-        return cls(basis, np.zeros((len(basis), basis.n), dtype=np.uint64))
-
-    @classmethod
-    def from_int_coeffs(cls, basis: RnsBasis, coeffs: np.ndarray) -> "RnsPoly":
-        """Build from (possibly signed / bigint) integer coefficients."""
-        return cls(basis, basis.decompose(np.asarray(coeffs, dtype=object)))
-
-    def to_int_coeffs(self) -> np.ndarray:
-        """Exact coefficients in ``[0, Q)`` (object ints)."""
-        return self.basis.compose(self.limbs)
-
-    def to_centered_coeffs(self) -> np.ndarray:
-        """Exact coefficients centered in ``(-Q/2, Q/2]``."""
-        return self.basis.compose_centered(self.limbs)

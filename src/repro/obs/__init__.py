@@ -10,8 +10,8 @@ from one place:
   thread-safe :class:`MetricsRegistry` (the process default is
   :data:`REGISTRY`);
 * :mod:`repro.obs.tracing` — nested wall-clock (or synthetic-timebase)
-  spans in a :class:`Tracer` (:data:`TRACER`), exported as JSONL or
-  Chrome trace-event JSON for chrome://tracing / Perfetto.
+  spans in a :class:`Tracer` (:data:`TRACER`), exported as Chrome
+  trace-event JSON for chrome://tracing / Perfetto.
 
 Both default instances start **disabled**: every instrumented call site
 in the library reduces to a single branch, so the no-op overhead is
@@ -39,10 +39,8 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
     disable_metrics,
     enable_metrics,
-    metrics_enabled,
 )
 from .tracing import (
     TRACER,
@@ -50,12 +48,10 @@ from .tracing import (
     TraceContext,
     Tracer,
     current_context,
-    default_tracer,
     disable_tracing,
     enable_tracing,
     run_with_context,
     span,
-    tracing_enabled,
     use_context,
 )
 
@@ -65,10 +61,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "default_registry",
     "enable_metrics",
     "disable_metrics",
-    "metrics_enabled",
     "Span",
     "TraceContext",
     "Tracer",
@@ -76,15 +70,12 @@ __all__ = [
     "current_context",
     "use_context",
     "run_with_context",
-    "default_tracer",
     "enable_tracing",
     "disable_tracing",
-    "tracing_enabled",
     "span",
     "inc",
     "set_gauge",
     "observe",
-    "counter_value",
 ]
 
 
@@ -104,8 +95,3 @@ def observe(name: str, value: float) -> None:
     """Record a histogram observation on the default registry."""
     if REGISTRY.enabled:
         REGISTRY.observe(name, value)
-
-
-def counter_value(name: str) -> int:
-    """Read a counter off the default registry (0 when never written)."""
-    return REGISTRY.counter_value(name)

@@ -36,10 +36,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "default_registry",
     "enable_metrics",
     "disable_metrics",
-    "metrics_enabled",
 ]
 
 
@@ -207,16 +205,6 @@ class MetricsRegistry:
 
     # -- introspection -------------------------------------------------------
 
-    def counter_value(self, name: str) -> int:
-        """Current value of a counter, 0 when it was never incremented.
-
-        Read-side convenience for tests and report builders: asserting on
-        a counter must not create it as a side effect (``counter()``
-        would), and a never-touched counter reads as zero.
-        """
-        counter = self._counters.get(name)
-        return counter.value if counter is not None else 0
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Point-in-time dump of every instrument, JSON-serializable."""
         return {
@@ -243,10 +231,6 @@ class MetricsRegistry:
 REGISTRY = MetricsRegistry(enabled=False)
 
 
-def default_registry() -> MetricsRegistry:
-    return REGISTRY
-
-
 def enable_metrics() -> MetricsRegistry:
     """Turn on the default registry and return it."""
     REGISTRY.enabled = True
@@ -257,7 +241,3 @@ def disable_metrics() -> MetricsRegistry:
     """Return the default registry to no-op mode (instruments retained)."""
     REGISTRY.enabled = False
     return REGISTRY
-
-
-def metrics_enabled() -> bool:
-    return REGISTRY.enabled

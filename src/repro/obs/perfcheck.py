@@ -113,10 +113,6 @@ class PerfCheckReport:
     def passed(self) -> bool:
         return bool(self.results) and all(r.passed for r in self.results)
 
-    @property
-    def failures(self) -> List[CheckResult]:
-        return [r for r in self.results if not r.passed]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "passed": self.passed,

@@ -1,4 +1,4 @@
-"""Span tracing with distributed request context and two exporters.
+"""Span tracing with distributed request context and a Chrome exporter.
 
 A :class:`Span` is one named interval with arbitrary key/value
 attributes; spans nest (a ``PACK`` span contains ``KEYSWITCH`` spans
@@ -16,15 +16,13 @@ and an optional tuple of *links* (span ids of causally-related spans in
 other lanes, e.g. the failed offload attempt a failover reroute
 replaces).
 
-Two export formats:
-
-* **JSONL** — one JSON object per span, trivially greppable/loadable;
-* **Chrome trace-event format** — the ``{"traceEvents": [...]}`` JSON
-  that ``chrome://tracing`` and https://ui.perfetto.dev load directly,
-  using complete (``"ph": "X"``) events, per-node ``pid`` lanes with
-  ``process_name`` metadata, and flow (``"s"``/``"f"``) events binding
-  parent/child spans across lanes and explicit links — so one request,
-  including replica reroutes, renders as a single connected tree.
+The export format is the Chrome trace-event format: the
+``{"traceEvents": [...]}`` JSON that ``chrome://tracing`` and
+https://ui.perfetto.dev load directly, using complete (``"ph": "X"``)
+events, per-node ``pid`` lanes with ``process_name`` metadata, and flow
+(``"s"``/``"f"``) events binding parent/child spans across lanes and
+explicit links — so one request, including replica reroutes, renders as
+a single connected tree.
 
 Timestamps are microseconds.  Wall-clock spans (the context-manager API)
 use ``time.perf_counter`` relative to the tracer's epoch; *synthetic*
@@ -56,10 +54,8 @@ __all__ = [
     "current_context",
     "use_context",
     "run_with_context",
-    "default_tracer",
     "enable_tracing",
     "disable_tracing",
-    "tracing_enabled",
     "span",
 ]
 
@@ -270,7 +266,6 @@ class Tracer:
         self._spans: List[Span] = []
         self._epoch = time.perf_counter()
         self._local = threading.local()
-        self._track_names: Dict[int, str] = {}
         self._process_names: Dict[int, str] = {}
         self._thread_tracks: Dict[int, int] = {}
         # itertools.count.__next__ is atomic under the GIL, so id minting
@@ -345,11 +340,6 @@ class Tracer:
         with self._lock:
             self._spans.append(spn)
         return span_id
-
-    def name_track(self, track: int, name: str) -> None:
-        """Label a track; exported as Chrome thread-name metadata."""
-        with self._lock:
-            self._track_names[track] = name
 
     def name_process(self, pid: int, name: str) -> None:
         """Label a pid lane; exported as Chrome process-name metadata."""
@@ -428,11 +418,10 @@ class Tracer:
 
     def chrome_events(self) -> List[Dict[str, Any]]:
         """All spans as Chrome trace events, ``ts``-sorted per lane,
-        preceded by process/thread-name metadata events and followed by
+        preceded by process-name metadata events and followed by
         flow events that connect parent/child spans across lanes and
         explicit cross-lane links."""
         with self._lock:
-            track_names = dict(self._track_names)
             process_names = dict(self._process_names)
             spans = list(self._spans)
         events: List[Dict[str, Any]] = [
@@ -444,20 +433,6 @@ class Tracer:
             }
             for pid, label in sorted(process_names.items())
         ]
-        pids_by_track: Dict[int, set] = {}
-        for s in spans:
-            pids_by_track.setdefault(s.track, set()).add(s.pid)
-        for track, label in sorted(track_names.items()):
-            for pid in sorted(pids_by_track.get(track, {0})):
-                events.append(
-                    {
-                        "name": "thread_name",
-                        "ph": "M",
-                        "pid": pid,
-                        "tid": track,
-                        "args": {"name": label},
-                    }
-                )
         ordered = sorted(spans, key=lambda s: (s.pid, s.track, s.ts_us, -s.dur_us))
         events.extend(s.to_chrome_event() for s in ordered)
         events.extend(self._flow_events(spans))
@@ -522,37 +497,9 @@ class Tracer:
         with open(path, "w") as fh:
             json.dump(payload, fh)
 
-    def export_jsonl(self, path: str) -> None:
-        """Write one JSON object per span."""
-        with open(path, "w") as fh:
-            for s in sorted(self.spans, key=lambda s: (s.pid, s.track, s.ts_us)):
-                record: Dict[str, Any] = {
-                    "name": s.name,
-                    "ts_us": s.ts_us,
-                    "dur_us": s.dur_us,
-                    "track": s.track,
-                    "depth": s.depth,
-                    "args": s.args,
-                    "pid": s.pid,
-                }
-                if s.trace_id:
-                    record["trace_id"] = s.trace_id
-                if s.span_id:
-                    record["span_id"] = s.span_id
-                if s.parent_id:
-                    record["parent_id"] = s.parent_id
-                if s.links:
-                    record["links"] = list(s.links)
-                fh.write(json.dumps(record))
-                fh.write("\n")
-
 
 #: Process-wide default tracer; disabled until :func:`enable_tracing`.
 TRACER = Tracer(enabled=False)
-
-
-def default_tracer() -> Tracer:
-    return TRACER
 
 
 def enable_tracing(reset: bool = True) -> Tracer:
@@ -566,10 +513,6 @@ def enable_tracing(reset: bool = True) -> Tracer:
 def disable_tracing() -> Tracer:
     TRACER.enabled = False
     return TRACER
-
-
-def tracing_enabled() -> bool:
-    return TRACER.enabled
 
 
 def span(

@@ -42,7 +42,6 @@ def _isolate_obs_defaults():
     with tr._lock:
         tr_state = (
             list(tr._spans),
-            dict(tr._track_names),
             dict(tr._process_names),
             dict(tr._thread_tracks),
             tr._epoch,
@@ -59,13 +58,11 @@ def _isolate_obs_defaults():
     tr.enabled = tr_enabled
     with tr._lock:
         tr._spans[:] = tr_state[0]
-        tr._track_names.clear()
-        tr._track_names.update(tr_state[1])
         tr._process_names.clear()
-        tr._process_names.update(tr_state[2])
+        tr._process_names.update(tr_state[1])
         tr._thread_tracks.clear()
-        tr._thread_tracks.update(tr_state[3])
-        tr._epoch = tr_state[4]
+        tr._thread_tracks.update(tr_state[2])
+        tr._epoch = tr_state[3]
 
 
 @pytest.fixture(scope="session")

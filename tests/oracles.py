@@ -17,11 +17,16 @@ bit for bit, per RNS limb:
   Cooley-Tukey / Gentleman-Sande NTT pair, one modulus at a time over
   stage-variant butterfly blocks — the gold model for the
   constant-geometry kernel :class:`repro.math.ntt.FusedLimbNtt`;
+* :func:`negacyclic_convolution_schoolbook` — the O(n²) ring product,
+  the reference for every NTT-based multiplication;
+* :func:`rns_decompose` — exact residues of big integers, the inverse of
+  :meth:`repro.math.rns.RnsBasis.compose`;
 * :func:`key_switch_raw_loop` — the per-digit / per-limb key-switch, the
   reference for :func:`repro.he.keyswitch.key_switch_raw`;
 * :func:`plan_exhaustive` — the partition search scoring every candidate
   grid's total, the reference for the bounded
-  :meth:`repro.cluster.PartitionPlanner.plan`.
+  :meth:`repro.cluster.PartitionPlanner.plan`; :func:`plan_from_cuts`
+  builds a plan from explicit cuts for the cluster tests.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -43,6 +48,8 @@ from repro.he.packing import PackedResult
 from repro.he.rlwe import RlweCiphertext
 from repro.math.modular import modadd_vec, modmul_vec, modsub_vec
 from repro.math.ntt import _tables
+from repro.math.polynomial import shiftneg
+from repro.math.rns import RnsBasis
 
 #: the left operand of a split product is cut at this many low bits
 SPLIT_BITS = 20
@@ -131,6 +138,42 @@ def merged_gs_inverse(a: np.ndarray, q: int) -> np.ndarray:
     return modmul_vec(work, np.uint64(n_inv), q).reshape(a.shape)
 
 
+def negacyclic_convolution_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """O(n²) negacyclic convolution — the correctness oracle for the NTTs.
+
+    ``c_k = sum_{i+j=k} a_i b_j - sum_{i+j=k+n} a_i b_j (mod q)``.
+    """
+    a = np.asarray(a, dtype=object)
+    b = np.asarray(b, dtype=object)
+    n = a.shape[-1]
+    if b.shape[-1] != n:
+        raise ValueError("length mismatch")
+    c = np.zeros(n, dtype=object)
+    for i in range(n):
+        ai = int(a[i])
+        if ai == 0:
+            continue
+        for j in range(n):
+            k = i + j
+            term = ai * int(b[j])
+            if k < n:
+                c[k] += term
+            else:
+                c[k - n] -= term
+    return np.asarray(np.mod(c, q), dtype=np.uint64)
+
+
+def rns_decompose(basis: RnsBasis, values: np.ndarray) -> np.ndarray:
+    """Integer array (object dtype or unsigned) -> residue stack.
+
+    Returns shape ``(L, *values.shape)`` ``uint64``.
+    """
+    arr = np.asarray(values, dtype=object)
+    return np.stack(
+        [np.asarray(np.mod(arr, q), dtype=np.uint64) for q in basis.moduli]
+    )
+
+
 def key_switch_raw_loop(
     ctx: CheContext, c: np.ndarray, ksk: KeySwitchKey
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,6 +206,15 @@ def key_switch_raw_loop(
     return d0, d1
 
 
+def multiply_monomial(ct: RlweCiphertext, exponent: int) -> RlweCiphertext:
+    """MULTMONO on both components: multiply by ``X^exponent`` (noise-free)."""
+    c0, c1 = (
+        np.stack([shiftneg(comp[i], exponent, q) for i, q in enumerate(ct.basis)])
+        for comp in (ct.c0, ct.c1)
+    )
+    return RlweCiphertext(ct.ctx, ct.basis, c0, c1)
+
+
 def pack_two_lwes(
     level: int,
     ct_even: RlweCiphertext,
@@ -175,10 +227,17 @@ def pack_two_lwes(
     if stride < 1:
         raise ValueError(f"level {level} exceeds log2(n)={n.bit_length() - 1}")
     g = (1 << level) + 1
-    ct_mono = ct_odd.multiply_monomial(stride)
+    ct_mono = multiply_monomial(ct_odd, stride)
     ct_plus = ct_even + ct_mono
     ct_minus = ct_even - ct_mono
     return ct_plus + apply_automorphism(ct_minus, g, galois_keys)
+
+
+def zero_ciphertext(ctx: CheContext, basis: RnsBasis) -> RlweCiphertext:
+    """The transparent encryption of zero (pads the recursive pack)."""
+    shape = (len(basis), ctx.n)
+    zeros = np.zeros(shape, np.uint64)
+    return RlweCiphertext(ctx, basis, zeros, zeros.copy())
 
 
 def pack_lwes_recursive(
@@ -199,8 +258,7 @@ def pack_lwes_recursive(
     target = 1 << levels
     if target > ctx.n:
         raise ValueError(f"cannot pack {count} > ring degree {ctx.n}")
-    basis = rlwes[0].basis
-    rlwes += [RlweCiphertext.zero(ctx, basis)] * (target - count)
+    rlwes += [zero_ciphertext(ctx, rlwes[0].basis)] * (target - count)
 
     def recurse(items: List[RlweCiphertext]) -> RlweCiphertext:
         if len(items) == 1:
@@ -255,6 +313,23 @@ def plan_total_cycles(
     """A grid's planner score: compute makespan plus network cycles."""
     makespan = planner.estimate_makespan(plan, nodes)
     return makespan + planner.estimate_comm_cycles(plan, nodes)
+
+
+def plan_from_cuts(
+    planner: PartitionPlanner,
+    rows: int,
+    cols: int,
+    row_cuts: Sequence[int],
+    col_cuts: Sequence[int],
+) -> PartitionPlan:
+    """Wrap explicit cuts in a validated plan on ``planner``'s ring."""
+    return PartitionPlan(
+        rows=rows,
+        cols=cols,
+        ring_n=planner.ring_n,
+        row_cuts=tuple(row_cuts),
+        col_cuts=tuple(col_cuts),
+    )
 
 
 def plan_exhaustive(

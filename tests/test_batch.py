@@ -76,8 +76,6 @@ def test_amortized_op_count(scheme128, matrix):
 def test_rejects_bad_inputs(scheme128, rng_module):
     with pytest.raises(ValueError):
         BatchedHmvp(scheme128, np.zeros(128))
-    with pytest.raises(ValueError, match="tile_rows"):
-        BatchedHmvp(scheme128, np.zeros((129, 10)), tile_rows=129)
     with pytest.raises(ValueError, match="nothing to pack"):
         BatchedHmvp(scheme128, np.zeros((0, 128)))
     batched = BatchedHmvp(scheme128, rng_module.integers(-5, 5, (2, 128)))
@@ -150,7 +148,6 @@ def test_fingerprint_depends_on_params_and_content(scheme128, matrix):
     mutated = np.array(matrix)
     mutated[0, 0] += 1
     assert matrix_fingerprint(mutated, scheme128.params) != base
-    assert matrix_fingerprint(matrix, scheme128.params, tile_rows=4) != base
 
 
 def test_encoded_tiles_are_frozen(scheme128, matrix):
@@ -180,17 +177,18 @@ def test_multiply_batch_with_workers(
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(batch_module, "ThreadPoolExecutor", CountingPool)
-    batched = BatchedHmvp(scheme128, matrix)
-    assert batched.workers == batch_module.host_cpus()
+    assert BatchedHmvp(scheme128, matrix).workers == batch_module.host_cpus()
+    one = BatchedHmvp(scheme128, matrix, workers=1)
+    four = BatchedHmvp(scheme128, matrix, workers=4)
     vs = [rng_module.integers(-40, 40, 128) for _ in range(24)]
     cts = [scheme128.encrypt_vector(v) for v in vs]
-    assert len(cts) > 2 * batched._group_size()
-    serial = batched.multiply_batch(cts, workers=1)
+    assert len(cts) > 2 * one._group_size()
+    serial = one.multiply_batch(cts)
     assert not pools
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = batched.multiply_batch(cts, workers=4)
+        pooled = four.multiply_batch(cts)
     finally:
         sys.setswitchinterval(interval)
     assert len(pools) == 1

@@ -77,23 +77,19 @@ def test_triple_usage_in_secure_multiply(generator, rng):
 
 
 def test_matrix_triples(scheme128, rng):
-    from repro.apps.beaver import MatrixBeaverGenerator
-
-    gen = MatrixBeaverGenerator(scheme128, seed=7)
+    """Triples for ``W · A``: one per column of ``A``, sharing ``W``."""
+    gen = BeaverGenerator(scheme128, seed=7)
     w = rng.integers(-20, 20, (6, 128))
-    triples = gen.generate_matrix(w, cols=3)
+    triples = gen.generate_batch(w, 3)
     assert len(triples) == 3
     assert all(verify_triple(t) for t in triples)
     assert gen.stats.triples == 3
-    # the hoisted path skips the per-column row transforms
     assert gen.stats.ops.dot_products == 18
 
 
 def test_matrix_triples_are_independent(scheme128, rng):
-    from repro.apps.beaver import MatrixBeaverGenerator
-
-    gen = MatrixBeaverGenerator(scheme128, seed=8)
+    gen = BeaverGenerator(scheme128, seed=8)
     w = rng.integers(-10, 10, (4, 64))
-    t1, t2 = gen.generate_matrix(w, cols=2)
+    t1, t2 = gen.generate_batch(w, 2)
     assert not np.array_equal(t1.a1, t2.a1)
     assert not np.array_equal(t1.c1, t2.c1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.he.bfv import BfvScheme
+from repro.he.encoder import FixedPointCodec
 from repro.he.params import toy_params
 
 
@@ -66,9 +67,13 @@ def test_decrypt_lwe(scheme128, rng):
 
 
 def test_fixed_point_helper(scheme128):
-    codec = scheme128.fixed_point(frac_bits=10)
-    assert codec.t == scheme128.params.plain_modulus
+    """Fixed-point reals under the scheme's plaintext modulus survive an
+    encrypt/decrypt round trip (the HeteroLR encoding)."""
+    codec = FixedPointCodec(scheme128.params.plain_modulus, frac_bits=10)
     assert codec.scale == 1024
+    x = np.array([0.5, -1.25, 3.0009765625])
+    ct = scheme128.encrypt_vector(codec.encode(x), augmented=False)
+    assert np.array_equal(codec.decode(scheme128.decrypt_coeffs(ct, 3)), x)
 
 
 def test_noise_helpers(scheme128, rng):

@@ -1,35 +1,43 @@
-"""Tests for the constant-geometry (Pease) NTT — Algorithm 4."""
+"""Tests for the constant-geometry (Pease) NTT — Algorithm 4.
+
+:class:`~repro.math.ntt.NegacyclicNtt` is the one-limb view of the
+kernel that runs this network; :class:`~repro.math.cg_ntt.CgSchedule` is
+the schedule the hardware model reads.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.math.cg_ntt import (
-    CgNtt,
-    cg_ntt_cycles,
-    constant_geometry_schedule,
-)
-from repro.math.ntt import NegacyclicNtt, negacyclic_convolution_schoolbook
+from repro.math.cg_ntt import cg_ntt_cycles, constant_geometry_schedule
+from repro.math.ntt import NegacyclicNtt
 from repro.math.primes import CHAM_P, CHAM_Q0, CHAM_Q1
+from tests.oracles import merged_ct_forward, negacyclic_convolution_schoolbook
 
 MODULI = [CHAM_Q0, CHAM_Q1, CHAM_P]
+
+
+def to_gold_order(a, n, q):
+    """Re-index CG output into the gold model's bit-reversed order."""
+    inv = np.empty(n, dtype=np.int64)
+    inv[constant_geometry_schedule(n, q).output_perm] = np.arange(n)
+    return np.asarray(a, dtype=np.uint64)[..., inv]
 
 
 @pytest.mark.parametrize("q", MODULI)
 @pytest.mark.parametrize("n", [4, 16, 64, 256])
 def test_forward_matches_gold_after_permutation(q, n, rng):
     a = rng.integers(0, q, n, dtype=np.uint64)
-    cg = CgNtt(n, q)
-    gold = NegacyclicNtt(n, q)
-    assert np.array_equal(cg.to_gold_order(cg.forward(a)), gold.forward(a))
+    cg = NegacyclicNtt(n, q)
+    assert np.array_equal(to_gold_order(cg.forward(a), n, q), merged_ct_forward(a, q))
 
 
 @pytest.mark.parametrize("q", MODULI)
 @pytest.mark.parametrize("n", [8, 64, 512])
 def test_roundtrip(q, n, rng):
     a = rng.integers(0, q, n, dtype=np.uint64)
-    cg = CgNtt(n, q)
+    cg = NegacyclicNtt(n, q)
     assert np.array_equal(cg.inverse(cg.forward(a)), a)
 
 
@@ -38,7 +46,7 @@ def test_multiply_matches_schoolbook(n, rng):
     q = CHAM_Q0
     a = rng.integers(0, q, n, dtype=np.uint64)
     b = rng.integers(0, q, n, dtype=np.uint64)
-    cg = CgNtt(n, q)
+    cg = NegacyclicNtt(n, q)
     assert np.array_equal(
         cg.multiply(a, b), negacyclic_convolution_schoolbook(a, b, q)
     )
@@ -74,27 +82,6 @@ def test_total_distinct_twiddles_at_most_n():
     assert len(distinct) <= 64
 
 
-def test_rom_bank_contents_partition_schedule():
-    sched = constant_geometry_schedule(64, CHAM_Q0)
-    banks = sched.rom_bank_contents(4)
-    assert len(banks) == 4
-    # each bank holds (n/2 * log2 n)/4 words
-    assert all(len(b) == 32 * 6 // 4 for b in banks)
-    # interleaving the banks reconstructs each stage's schedule
-    for stage in range(6):
-        per_stage = 32 // 4
-        rebuilt = np.empty(32, dtype=np.uint64)
-        for b in range(4):
-            rebuilt[b::4] = banks[b][stage * per_stage : (stage + 1) * per_stage]
-        assert np.array_equal(rebuilt, sched.twiddles[stage])
-
-
-def test_rom_bank_bad_split():
-    sched = constant_geometry_schedule(16, CHAM_Q0)
-    with pytest.raises(ValueError):
-        sched.rom_bank_contents(3)
-
-
 def test_cg_cycles_production_point():
     """Table III: 6144 cycles for N=4096 with 4 BFUs."""
     assert cg_ntt_cycles(4096, 4) == 6144
@@ -111,7 +98,7 @@ def test_cg_cycles_validation():
 
 def test_batch_forward(rng):
     q = CHAM_Q0
-    cg = CgNtt(32, q)
+    cg = NegacyclicNtt(32, q)
     batch = rng.integers(0, q, (4, 32), dtype=np.uint64)
     out = cg.forward(batch)
     for i in range(4):
@@ -119,7 +106,7 @@ def test_batch_forward(rng):
 
 
 def test_rejects_bad_length(rng):
-    cg = CgNtt(32, CHAM_Q0)
+    cg = NegacyclicNtt(32, CHAM_Q0)
     with pytest.raises(ValueError):
         cg.forward(rng.integers(0, 5, 16, dtype=np.uint64))
     with pytest.raises(ValueError):
@@ -130,6 +117,6 @@ def test_rejects_bad_length(rng):
 @settings(max_examples=50, deadline=None)
 def test_cg_equals_gold_property(coeffs):
     a = np.array(coeffs, dtype=np.uint64)
-    cg = CgNtt(16, CHAM_P)
-    gold = NegacyclicNtt(16, CHAM_P)
-    assert np.array_equal(cg.to_gold_order(cg.forward(a)), gold.forward(a))
+    cg = NegacyclicNtt(16, CHAM_P)
+    gold = merged_ct_forward(a, CHAM_P)
+    assert np.array_equal(to_gold_order(cg.forward(a), 16, CHAM_P), gold)

@@ -29,6 +29,7 @@ from repro.cluster import (
 )
 from repro.core.batch import BatchedHmvp
 from repro.hw.runtime import FaultInjector
+from tests.oracles import plan_from_cuts
 
 #: (rows, cols) at ring degree 128 — single-row, single-column,
 #: non-power-of-two, multi-tile, and beyond-ring shapes on purpose
@@ -102,7 +103,7 @@ def test_explicit_partition_kinds(scheme128, row_cuts, col_cuts, label):
     matrix = rng.integers(-100, 100, (13, 384))
     vector = rng.integers(-100, 100, 384)
     planner = PartitionPlanner(scheme128.params.n)
-    plan = planner.plan_from_cuts(13, 384, row_cuts, col_cuts)
+    plan = plan_from_cuts(planner, 13, 384, row_cuts, col_cuts)
     executor = ClusterExecutor(
         scheme128,
         matrix,
@@ -118,7 +119,7 @@ def test_unaligned_column_cut_rejected(scheme128):
     """A cut inside a ciphertext tile cannot merge exactly -> refused."""
     planner = PartitionPlanner(scheme128.params.n)
     with pytest.raises(PartitionError, match="rescale is non-linear"):
-        planner.plan_from_cuts(8, 256, (0, 8), (0, 100, 256))
+        plan_from_cuts(planner, 8, 256, (0, 8), (0, 100, 256))
 
 
 def test_failover_preserves_bit_identity(scheme128):

@@ -40,6 +40,7 @@ from repro.core.batch import BatchedHmvp
 from repro.he.bfv import BfvScheme
 from repro.he.params import toy_params
 from repro.math.modular import modadd_vec
+from tests.oracles import plan_from_cuts
 
 RING = 128
 
@@ -72,15 +73,13 @@ def test_column_shard_partials_sum_to_full_partial(
         scheme128.encrypt_vector(vector[s : s + RING])
         for s in range(0, cols, RING)
     ]
-    full_b, full_a = BatchedHmvp(scheme128, matrix).multiply_partial(
-        ct_tiles
-    )[0]
+    engine = BatchedHmvp(scheme128, matrix)
+    hoisted = [engine.hoist(ct) for ct in ct_tiles]
+    full_b, full_a = engine.multiply_partial(hoisted)[0]
     acc_b = acc_a = None
     for tile, start in enumerate(range(0, cols, RING)):
         band = matrix[:, start : start + RING]
-        b, a = BatchedHmvp(scheme128, band).multiply_partial(
-            [ct_tiles[tile]]
-        )[0]
+        b, a = BatchedHmvp(scheme128, band).multiply_partial([hoisted[tile]])[0]
         if acc_b is None:
             acc_b, acc_a = b, a
         else:
@@ -116,7 +115,8 @@ def _random_plan(planner, rows, cols, rng):
             tile_cut_choices, size=n_col_cuts, replace=False
         )
     ) if n_col_cuts else []
-    return planner.plan_from_cuts(
+    return plan_from_cuts(
+        planner,
         rows,
         cols,
         [0, *interior_rows, rows],
@@ -231,8 +231,8 @@ def _ring_replay(seed):
             seed=seed,
             topology="ring",
         ),
-        plan=PartitionPlanner(RING).plan_from_cuts(
-            10, 2 * RING, (0, 6, 10), (0, RING, 2 * RING)
+        plan=plan_from_cuts(
+            PartitionPlanner(RING), 10, 2 * RING, (0, 6, 10), (0, RING, 2 * RING)
         ),
     )
     requests = [
@@ -258,8 +258,8 @@ def test_lpt_tie_break_is_by_node_id():
     """Equal-load ties break by node id explicitly, so plans are stable
     across Python versions, container orderings, and churn renumbering."""
     planner = PartitionPlanner(128)
-    plan = planner.plan_from_cuts(
-        8, 512, (0, 4, 8), (0, 128, 256, 384, 512)
+    plan = plan_from_cuts(
+        planner, 8, 512, (0, 4, 8), (0, 128, 256, 384, 512)
     )
     costs = [10] * len(plan.shards)
     placement = ShardPlacement.place(

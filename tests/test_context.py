@@ -5,7 +5,7 @@ import pytest
 
 from repro.he.context import CheContext
 from repro.he.params import toy_params
-from repro.math.ntt import negacyclic_convolution_schoolbook
+from tests.oracles import negacyclic_convolution_schoolbook
 
 
 @pytest.fixture(scope="module")

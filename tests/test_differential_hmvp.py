@@ -100,16 +100,17 @@ def test_engine_matches_scalar_oracle_per_limb(scheme128, rows, cols):
     matrix = rng.integers(-100, 100, (rows, cols))
     ct_tiles = encrypt_tiles(scheme128, rng.integers(-100, 100, cols))
     want = _limb_digests(hmvp_oracle(scheme128, matrix, ct_tiles))
-    engine = BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache())
+    cache = EncodedMatrixCache()
+    engine = BatchedHmvp(scheme128, matrix, cache=cache)
     assert _limb_digests(engine.multiply_tiles(ct_tiles)) == want
     assert _limb_digests(BatchedHmvp.once(scheme128, matrix, ct_tiles)) == want
     if len(ct_tiles) == 1:
         # a different request between two copies: no mixing across the
         # request axis of a group, nor across pool tasks
         other_v = rng.integers(-100, 100, cols)
-        batch = engine.multiply_batch(
-            [ct_tiles[0], scheme128.encrypt_vector(other_v), ct_tiles[0]],
-            workers=2,
+        pooled = BatchedHmvp(scheme128, matrix, cache=cache, workers=2)
+        batch = pooled.multiply_batch(
+            [ct_tiles[0], scheme128.encrypt_vector(other_v), ct_tiles[0]]
         )
         assert _limb_digests(batch[0]) == _limb_digests(batch[2]) == want
         t = scheme128.params.plain_modulus
@@ -119,13 +120,13 @@ def test_engine_matches_scalar_oracle_per_limb(scheme128, rows, cols):
 
 
 def test_row_tiles_match_scalar_oracle_per_limb(scheme128):
-    """tile_rows cuts the packs where the oracle does (uneven last tile)."""
+    """Row tiles are N rows: an (N + 4)-row matrix packs N rows, then an
+    uneven last tile of 4, where the oracle cuts them."""
     rng = np.random.default_rng(0xD1FF_0789)
-    matrix = rng.integers(-100, 100, (11, 128))
-    ct = scheme128.encrypt_vector(rng.integers(-100, 100, 128))
-    engine = BatchedHmvp(scheme128, matrix, tile_rows=4, cache=EncodedMatrixCache())
+    ring = scheme128.params.n
+    matrix = rng.integers(-100, 100, (ring + 4, ring))
+    ct = scheme128.encrypt_vector(rng.integers(-100, 100, ring))
+    engine = BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache())
     got = engine.multiply_one(ct)
-    assert len(got.packs) == 3
-    assert _limb_digests(got) == _limb_digests(
-        hmvp_oracle(scheme128, matrix, [ct], tile_rows=4)
-    )
+    assert [pack.count for pack in got.packs] == [ring, 4]
+    assert _limb_digests(got) == _limb_digests(hmvp_oracle(scheme128, matrix, [ct]))

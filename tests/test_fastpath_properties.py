@@ -26,7 +26,6 @@ from repro.math.modular import (
     MAX_MODULUS_BITS,
     modadd_vec,
     modmul_vec,
-    modmul_vec_barrett,
     modsub_vec,
 )
 from tests.oracles import key_switch_raw_loop, modmul_vec_split
@@ -53,7 +52,7 @@ def _arrays(rng_seed: int, q: int, size: int = 64):
 @settings(max_examples=150, deadline=None)
 def test_barrett_matches_split_oracle(q, seed):
     a, b = _arrays(seed, q)
-    assert np.array_equal(modmul_vec_barrett(a, b, q), modmul_vec_split(a, b, q))
+    assert np.array_equal(modmul_vec(a, b, q), modmul_vec_split(a, b, q))
 
 
 @given(q=_moduli)
@@ -64,11 +63,11 @@ def test_barrett_worst_case_operands(q):
     edge = np.array([q - 1, q - 1, 1, 0], dtype=np.uint64)
     rev = edge[::-1].copy()
     assert np.array_equal(
-        modmul_vec_barrett(edge, rev, q), modmul_vec_split(edge, rev, q)
+        modmul_vec(edge, rev, q), modmul_vec_split(edge, rev, q)
     )
     sq = np.full(8, q - 1, dtype=np.uint64)
     assert np.array_equal(
-        modmul_vec_barrett(sq, sq, q), modmul_vec_split(sq, sq, q)
+        modmul_vec(sq, sq, q), modmul_vec_split(sq, sq, q)
     )
 
 

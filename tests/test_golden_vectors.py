@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster import ClusterConfig, ClusterExecutor, PartitionPlanner
+from repro.cluster import ClusterConfig, ClusterExecutor, PartitionPlan
 from repro.core.batch import BatchedHmvp
 from repro.he.bfv import BfvScheme
 from repro.he.params import toy_params
@@ -108,11 +108,20 @@ def _build_cluster():
     return scheme, matrix, vector
 
 
+def _cluster_plan():
+    """The pinned 2x2 shard grid the cluster sections replay."""
+    return PartitionPlan(
+        rows=CLUSTER_ROWS,
+        cols=CLUSTER_COLS,
+        ring_n=COLS,
+        row_cuts=CLUSTER_ROW_CUTS,
+        col_cuts=CLUSTER_COL_CUTS,
+    )
+
+
 def _generate_cluster():
     scheme, matrix, vector = _build_cluster()
-    plan = PartitionPlanner(COLS).plan_from_cuts(
-        CLUSTER_ROWS, CLUSTER_COLS, CLUSTER_ROW_CUTS, CLUSTER_COL_CUTS
-    )
+    plan = _cluster_plan()
     executor = ClusterExecutor(
         scheme,
         matrix,
@@ -181,9 +190,7 @@ def _build_netsim():
 def _replay_netsim(config, fault_injectors=None):
     """The netsim inputs through the cluster shard grid on ``config``."""
     scheme, matrix, vectors = _build_netsim()
-    plan = PartitionPlanner(COLS).plan_from_cuts(
-        CLUSTER_ROWS, CLUSTER_COLS, CLUSTER_ROW_CUTS, CLUSTER_COL_CUTS
-    )
+    plan = _cluster_plan()
     executor = ClusterExecutor(
         scheme,
         matrix,
@@ -470,9 +477,7 @@ def test_netsim_golden_bits_match_free_comm():
     — the golden file cannot encode a fabric that changed the bits."""
     golden = _load()["netsim"]["run"]
     scheme, matrix, vectors = _build_netsim()
-    plan = PartitionPlanner(COLS).plan_from_cuts(
-        CLUSTER_ROWS, CLUSTER_COLS, CLUSTER_ROW_CUTS, CLUSTER_COL_CUTS
-    )
+    plan = _cluster_plan()
     executor = ClusterExecutor(
         scheme,
         matrix,

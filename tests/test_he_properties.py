@@ -41,9 +41,9 @@ def test_addition_is_homomorphic(ctx128, sk128, enc, a, b):
 def test_scalar_mult_is_homomorphic(ctx128, sk128, enc, a, k):
     av = np.array(a)
     ct = encrypt(ctx128, sk128, enc.encode_coeffs(av), augmented=False)
-    # pass k signed: the limb reduction embeds it centered, so the noise
-    # grows by |k|, not by the huge positive residue k mod t
-    got = decrypt(ctx128, sk128, ct.multiply_scalar(k)).centered()
+    # a scalar is the constant plaintext k, embedded centered, so the
+    # noise grows by |k|, not by the huge positive residue k mod t
+    got = decrypt(ctx128, sk128, ct.multiply_plain(enc.encode_coeffs([k]))).centered()
     t = ctx128.t
     want = np.array([((int(x) * k) % t) for x in av], dtype=object)
     half = t // 2

@@ -16,7 +16,6 @@ from repro.apps.heterolr import (
     PaillierBackend,
     PlainBackend,
     StepCounts,
-    sigmoid,
     taylor_sigmoid,
 )
 from repro.core.batch import host_cpus
@@ -37,6 +36,10 @@ def cfg():
 @pytest.fixture(scope="module")
 def plain_result(data, cfg):
     return HeteroLrTrainer(PlainBackend(), cfg).train(data)
+
+
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def test_sigmoid_approximation():

@@ -29,17 +29,6 @@ def test_hmvp_short_rows(scheme128, rng):
     assert np.array_equal(res.decrypt(scheme128), matmul_obj(a, v))
 
 
-def test_hmvp_rejects_oversized(scheme128):
-    """Row tiles hold 1..N rows: anything else is refused at
-    construction, not discovered at decryption."""
-    a = np.zeros((4, 128), dtype=np.int64)
-    for bad in (129, 256, 0, -1):
-        with pytest.raises(ValueError, match="tile_rows"):
-            BatchedHmvp(scheme128, a, tile_rows=bad)
-    with pytest.raises(ValueError):
-        BatchedHmvp(scheme128, np.zeros(128))
-
-
 def test_hmvp_op_counts(scheme128, rng):
     a = rng.integers(-10, 10, (8, 128))
     v = rng.integers(-10, 10, 128)
@@ -98,14 +87,14 @@ def test_tiled_records_lwe_additions(scheme128, rng):
 
 
 def test_tiled_rows_per_pack(scheme128, rng):
-    a = rng.integers(-10, 10, (8, 32))
+    """Every N rows are one pack; the last tile holds the remainder."""
+    ring = scheme128.params.n
+    a = rng.integers(-10, 10, (ring + 4, 32))
     v = rng.integers(-10, 10, 32)
-    engine = BatchedHmvp(scheme128, a, tile_rows=4)
+    engine = BatchedHmvp(scheme128, a)
     res = engine.multiply_tiles(encrypt_tiles(scheme128, v))
-    assert len(res.packs) == 2
+    assert [pack.count for pack in res.packs] == [ring, 4]
     assert np.array_equal(res.decrypt(scheme128), matmul_obj(a, v))
-    with pytest.raises(ValueError, match="tile_rows"):
-        BatchedHmvp(scheme128, a, tile_rows=256)
 
 
 def test_tiled_tile_count_mismatch(scheme128, rng):

@@ -54,7 +54,6 @@ def test_hw_functional_agreement(rng):
     multiply_plain computed via datapath-transformed operands matches."""
     from repro.hw.arch import NttUnitConfig
     from repro.hw.ntt_datapath import NttDatapathSim
-    from repro.math.cg_ntt import CgNtt
     from repro.math.modular import modmul_vec
     from repro.math.primes import CHAM_Q0
 

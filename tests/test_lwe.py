@@ -45,12 +45,6 @@ def test_lwe_addition(ctx128, sk128, enc, rng):
     assert decrypt_lwe(ctx128, sk128, lwe_a + lwe_b) == a[0] + b[0]
 
 
-def test_lwe_scalar_mul(ctx128, sk128, enc, rng):
-    a = rng.integers(-1000, 1000, 128)
-    lwe = extract_lwe(encrypt(ctx128, sk128, enc.encode_coeffs(a), augmented=False))
-    assert decrypt_lwe(ctx128, sk128, lwe.scalar_mul(9)) == 9 * a[0]
-
-
 def test_lwe_basis_mismatch(ctx128, sk128, enc, rng):
     a = rng.integers(-10, 10, 128)
     lwe_n = extract_lwe(encrypt(ctx128, sk128, enc.encode_coeffs(a), augmented=False))
@@ -95,4 +89,4 @@ def test_lwe_shape_validation(ctx128):
 def test_lwe_dimension(ctx128, sk128, enc, rng):
     a = rng.integers(-10, 10, 128)
     lwe = extract_lwe(encrypt(ctx128, sk128, enc.encode_coeffs(a), augmented=False))
-    assert lwe.dimension == 128
+    assert lwe.a.shape == (len(ctx128.ct_basis), 128)

@@ -11,11 +11,9 @@ from repro.math.ntt import (
     bit_reverse,
     bit_reverse_indices,
     fused_limb_ntt,
-    intt,
-    negacyclic_convolution_schoolbook,
-    ntt,
 )
 from repro.math.primes import CHAM_P, CHAM_Q0, CHAM_Q1, find_ntt_prime
+from tests.oracles import negacyclic_convolution_schoolbook
 
 MODULI = [CHAM_Q0, CHAM_Q1, CHAM_P]
 
@@ -119,12 +117,6 @@ def test_rejects_bad_parameters():
         NegacyclicNtt(48, CHAM_Q0)  # not a power of two
     with pytest.raises(ValueError):
         NegacyclicNtt(64, 97)  # 97 != 1 mod 128
-
-
-def test_functional_wrappers(rng):
-    n, q = 64, CHAM_Q0
-    a = rng.integers(0, q, n, dtype=np.uint64)
-    assert np.array_equal(intt(ntt(a, q), q), a)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=CHAM_Q0 - 1), min_size=16, max_size=16))

@@ -17,16 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.math.cg_ntt import CgNtt
 from repro.math.modular import modmul_vec
-from repro.math.ntt import (
-    FusedLimbNtt,
-    NegacyclicNtt,
-    fused_limb_ntt,
+from repro.math.ntt import FusedLimbNtt, NegacyclicNtt, fused_limb_ntt
+from repro.math.primes import CHAM_P, CHAM_Q0, CHAM_Q1, find_ntt_prime, is_prime
+from tests.oracles import (
+    merged_ct_forward,
+    merged_gs_inverse,
     negacyclic_convolution_schoolbook,
 )
-from repro.math.primes import CHAM_P, CHAM_Q0, CHAM_Q1, find_ntt_prime, is_prime
-from tests.oracles import merged_ct_forward, merged_gs_inverse
 
 CHAM = (CHAM_Q0, CHAM_Q1, CHAM_P)
 
@@ -163,7 +161,6 @@ def test_constructors_reject_moduli_past_the_cap(bits):
         lambda: NegacyclicNtt(n, q),
         lambda: fused_limb_ntt(n, (q,)),
         lambda: FusedLimbNtt(n, (CHAM_Q0, q)),
-        lambda: CgNtt(n, q),
     ]
     for build in builders:
         with pytest.raises(ValueError, match=str(q)):

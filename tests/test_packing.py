@@ -13,11 +13,16 @@ from repro.he.noise import invariant_noise_budget, packed_slot_positions
 from repro.he.packing import (
     _pack_tree,
     pack_lwes,
-    pack_reduction_count,
     pack_stacked_lwes,
 )
 from repro.he.rlwe import encrypt
+from repro.core.hmvp import HmvpOpCount
 from tests.oracles import pack_lwes_recursive, pack_two_lwes
+
+
+def pack_reduction_count(count):
+    """PACKTWOLWES calls to pack ``count`` LWEs, as the engine prices them."""
+    return HmvpOpCount.for_pack(count, limbs=2, limbs_aug=3).pack_reductions
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +70,7 @@ def test_pack_reports_actual_reductions(ctx128, sk128, galois128, enc, rng):
 def test_pack_slot_stride(ctx128, sk128, galois128, enc, rng):
     lwes = make_lwes(ctx128, sk128, enc, [1, 2, 3, 4], rng)
     packed = pack_lwes(lwes, galois128)
-    assert packed.slot_stride == 128 // 4
+    assert 128 >> packed.scale_pow2 == 128 // 4
     assert packed_slot_positions(128, 4) == [0, 32, 64, 96]
 
 
@@ -131,11 +136,6 @@ def test_pack_zero_padding_is_exact(ctx128, sk128, galois128, enc, rng):
     assert [int(x) for x in got4] == [3, 1, 4, 0]
 
 
-def test_pack_reduction_count_validation():
-    with pytest.raises(ValueError):
-        pack_reduction_count(0)
-
-
 # -- the stacked (vectorized level-order) tree against the oracle ---------------
 
 
@@ -165,7 +165,6 @@ def test_batched_pack_decodes(ctx128, sk128, galois128, enc, rng, count):
     packed = pack_lwes(lwes, galois128)
     levels = max(count - 1, 0).bit_length()
     assert packed.scale_pow2 == levels
-    assert packed.slot_stride == 128 >> levels
     from repro.he.rlwe import decrypt
 
     pt = decrypt(ctx128, sk128, packed.ct)

@@ -56,10 +56,6 @@ def test_mul_plain_negative_scalar(paillier):
 def test_vector_helpers(paillier):
     cts = paillier.encrypt_vector([1, -2, 3])
     assert paillier.decrypt_vector(cts) == [1, -2, 3]
-    summed = paillier.add_vectors(cts, cts)
-    assert paillier.decrypt_vector(summed) == [2, -4, 6]
-    with pytest.raises(ValueError):
-        paillier.add_vectors(cts, cts[:2])
 
 
 def test_matvec(paillier, rng):

@@ -88,11 +88,6 @@ def test_bases(params256):
     assert params256.qp_product == CHAM_Q0 * CHAM_Q1 * CHAM_P
 
 
-def test_delta_values(params256):
-    assert params256.delta == params256.q_product // params256.plain_modulus
-    assert params256.delta_aug == params256.qp_product // params256.plain_modulus
-
-
 def test_describe(params256):
     desc = params256.describe()
     assert "n=256" in desc

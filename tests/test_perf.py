@@ -102,7 +102,7 @@ def test_hmvp_cycles_scale(cham):
 
 def test_schedule_overlaps(cham):
     sched = cham.hmvp_schedule(4096, 4096)
-    assert sched.overlap_speedup > 1.2
+    assert sched.serial_s / sched.total_s > 1.2
     assert sched.chunks == 8  # 4096 rows / 512 per chunk
 
 

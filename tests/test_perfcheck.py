@@ -129,7 +129,7 @@ def test_check_floors_report_shape(tmp_path):
          "value": 0.1, "tolerance": 1.0},
     ])
     report = check_floors(tmp_path, floors)
-    assert report.passed and not report.failures
+    assert report.passed and all(r.passed for r in report.results)
     assert report.metadata["batch"]["git_sha"] == "f" * 40
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["passed"] is True
@@ -151,7 +151,7 @@ def test_check_floors_fails_on_2x_regression(tmp_path):
     ])
     report = check_floors(tmp_path, floors)
     assert not report.passed
-    failed = {r.metric for r in report.failures}
+    failed = {r.metric for r in report.results if not r.passed}
     assert failed == {"ratio_2e_vs_1e"}  # 34.0 clears the wide wall band
     assert "FAIL" in report.render_text()
 

@@ -1,5 +1,7 @@
 """Tests for the macro-pipeline discrete-event simulator (Section III-A)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hw.arch import ChamConfig, EngineConfig, cham_default_config
@@ -88,8 +90,8 @@ def test_rejects_nonpositive_rows(pipe):
 
 def test_multi_engine_splits_rows():
     cfg = cham_default_config()
-    one = simulate_multi_engine(cfg.with_engines(1), 4096)
-    two = simulate_multi_engine(cfg.with_engines(2), 4096)
+    one = simulate_multi_engine(replace(cfg, engines=1), 4096)
+    two = simulate_multi_engine(replace(cfg, engines=2), 4096)
     assert two.total_cycles < one.total_cycles
     assert two.total_cycles == pytest.approx(one.total_cycles / 2, rel=0.05)
     assert two.reductions == 4094  # two independent packs of 2048

@@ -1,59 +1,42 @@
-"""Tests for RingPoly and the Table I PPU operations."""
+"""Tests for the Table I PPU operations and the ring laws of the NTT
+product, on raw coefficient arrays."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.math.polynomial import (
-    RingPoly,
-    automorph,
-    automorph_permutation,
-    monomial_multiply,
-    rev,
-    shiftneg,
-)
-from repro.math.primes import CHAM_Q0, CHAM_Q1
+from repro.math.modular import modadd_vec, modinv, modmul_vec, modneg_vec, modsub_vec
+from repro.math.ntt import NegacyclicNtt
+from repro.math.polynomial import automorph, automorph_permutation, shiftneg
+from repro.math.primes import CHAM_Q0
+from tests.oracles import negacyclic_convolution_schoolbook
 
 Q = CHAM_Q0
 N = 32
+RING = NegacyclicNtt(N, Q)
 
 
 def rand_poly(rng, n=N, q=Q):
-    return RingPoly.random(n, q, rng)
+    return rng.integers(0, q, n, dtype=np.uint64)
 
 
-# -- constructors ------------------------------------------------------------------
-
-
-def test_zero_and_constant():
-    z = RingPoly.zero(N, Q)
-    c = RingPoly.constant(5, N, Q)
-    assert (z.coeffs == 0).all()
-    assert c.coeffs[0] == 5 and (c.coeffs[1:] == 0).all()
-
-
-def test_constructor_reduces_signed():
-    p = RingPoly(np.array([-1] + [0] * (N - 1)), Q)
-    assert p.coeffs[0] == Q - 1
-
-
-def test_constructor_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        RingPoly(np.zeros((2, 4)), Q)
-    with pytest.raises(ValueError):
-        RingPoly(np.zeros(24), Q)  # not a power of two
+def monomial(exponent, n=N, q=Q):
+    """``X^exponent`` written out directly: ``X^N = -1``, period ``2N``."""
+    e = exponent % (2 * n)
+    out = np.zeros(n, dtype=np.uint64)
+    out[e % n] = 1 if e < n else q - 1
+    return out
 
 
 def test_monomial():
-    m = RingPoly.monomial(3, N, Q)
-    assert m.coeffs[3] == 1 and m.coeffs.sum() == 1
+    one = monomial(0)
+    m = shiftneg(one, 3, Q)
+    assert m[3] == 1 and m.sum() == 1
     # X^N == -1
-    m2 = RingPoly.monomial(N, N, Q)
-    assert m2.coeffs[0] == Q - 1
+    assert shiftneg(one, N, Q)[0] == Q - 1
     # X^{-1} == -X^{N-1}
-    m3 = RingPoly.monomial(-1, N, Q)
-    assert m3.coeffs[N - 1] == Q - 1
+    assert shiftneg(one, -1, Q)[N - 1] == Q - 1
 
 
 # -- ring arithmetic ------------------------------------------------------------------
@@ -61,104 +44,86 @@ def test_monomial():
 
 def test_add_sub_neg(rng):
     a, b = rand_poly(rng), rand_poly(rng)
-    assert (a + b) - b == a
-    assert -(-a) == a
-    assert a - a == RingPoly.zero(N, Q)
+    assert np.array_equal(modsub_vec(modadd_vec(a, b, Q), b, Q), a)
+    assert np.array_equal(modneg_vec(modneg_vec(a, Q), Q), a)
+    assert not modsub_vec(a, a, Q).any()
 
 
 def test_mul_matches_schoolbook(rng):
-    from repro.math.ntt import negacyclic_convolution_schoolbook
-
     a, b = rand_poly(rng), rand_poly(rng)
-    prod = a * b
-    want = negacyclic_convolution_schoolbook(a.coeffs, b.coeffs, Q)
-    assert np.array_equal(prod.coeffs, want)
+    want = negacyclic_convolution_schoolbook(a, b, Q)
+    assert np.array_equal(RING.multiply(a, b), want)
 
 
 def test_mul_distributes(rng):
     a, b, c = rand_poly(rng), rand_poly(rng), rand_poly(rng)
-    assert a * (b + c) == a * b + a * c
+    lhs = RING.multiply(a, modadd_vec(b, c, Q))
+    rhs = modadd_vec(RING.multiply(a, b), RING.multiply(a, c), Q)
+    assert np.array_equal(lhs, rhs)
 
 
 def test_scalar_mul_and_inverse_scalar(rng):
     a = rand_poly(rng)
-    assert a.scalar_mul(3).inverse_scalar(3) == a
-    assert (3 * a) == a.scalar_mul(3)
+    three = modmul_vec(a, np.uint64(3), Q)
+    assert np.array_equal(modmul_vec(three, np.uint64(modinv(3, Q)), Q), a)
+    # a scalar is the constant polynomial
+    assert np.array_equal(RING.multiply(monomial(0) * np.uint64(3), a), three)
 
 
 def test_hadamard(rng):
     a, b = rand_poly(rng), rand_poly(rng)
-    got = a.hadamard(b)
-    want = (a.coeffs.astype(object) * b.coeffs.astype(object)) % Q
-    assert np.array_equal(got.coeffs.astype(object), want)
-
-
-def test_ring_mismatch_raises(rng):
-    a = rand_poly(rng)
-    b = RingPoly.random(N, CHAM_Q1, rng)
-    with pytest.raises(ValueError):
-        _ = a + b
+    got = modmul_vec(a, b, Q)
+    want = (a.astype(object) * b.astype(object)) % Q
+    assert np.array_equal(got.astype(object), want)
 
 
 # -- Table I operations -----------------------------------------------------------------
 
 
-def test_rev():
-    a = np.arange(N, dtype=np.uint64)
-    assert np.array_equal(rev(a, Q), a[::-1])
-
-
 def test_shiftneg_matches_monomial_multiplication(rng):
     a = rand_poly(rng)
     for s in (0, 1, 5, N - 1, N, N + 3, 2 * N, -1, -7):
-        via_shift = a.shiftneg(s)
-        via_mul = a * RingPoly.monomial(s, N, Q)
-        assert via_shift == via_mul, f"s={s}"
+        assert np.array_equal(shiftneg(a, s, Q), RING.multiply(a, monomial(s))), f"s={s}"
 
 
 def test_shiftneg_wraparound_negates():
-    a = RingPoly.monomial(N - 1, N, Q)
-    shifted = a.shiftneg(1)  # X^{N-1} * X = -1
-    assert shifted.coeffs[0] == Q - 1
-
-
-def test_multmono_alias(rng):
-    a = rand_poly(rng)
-    assert np.array_equal(
-        monomial_multiply(a.coeffs, 9, Q), a.multmono(9).coeffs
-    )
+    shifted = shiftneg(monomial(N - 1), 1, Q)  # X^{N-1} * X = -1
+    assert shifted[0] == Q - 1
 
 
 def test_automorph_is_ring_homomorphism(rng):
     a, b = rand_poly(rng), rand_poly(rng)
     for k in (3, 5, N + 1, 2 * N - 1):
-        lhs = (a * b).automorph(k)
-        rhs = a.automorph(k) * b.automorph(k)
-        assert lhs == rhs, f"k={k}"
-        assert (a + b).automorph(k) == a.automorph(k) + b.automorph(k)
+        lhs = automorph(RING.multiply(a, b), k, Q)
+        rhs = RING.multiply(automorph(a, k, Q), automorph(b, k, Q))
+        assert np.array_equal(lhs, rhs), f"k={k}"
+        assert np.array_equal(
+            automorph(modadd_vec(a, b, Q), k, Q),
+            modadd_vec(automorph(a, k, Q), automorph(b, k, Q), Q),
+        )
 
 
 def test_automorph_identity(rng):
     a = rand_poly(rng)
-    assert a.automorph(1) == a
+    assert np.array_equal(automorph(a, 1, Q), a)
 
 
 def test_automorph_composition(rng):
     a = rand_poly(rng)
-    assert a.automorph(3).automorph(3) == a.automorph(9 % (2 * N))
+    assert np.array_equal(automorph(automorph(a, 3, Q), 3, Q), automorph(a, 9 % (2 * N), Q))
 
 
 def test_automorph_inverse(rng):
     a = rand_poly(rng)
     k = 3
     k_inv = pow(k, -1, 2 * N)
-    assert a.automorph(k).automorph(k_inv) == a
+    assert np.array_equal(automorph(automorph(a, k, Q), k_inv, Q), a)
 
 
 def test_automorph_requires_odd_index(rng):
     a = rand_poly(rng)
     with pytest.raises(ValueError):
-        a.automorph(4)
+        automorph(a, 4, Q)
 
 
 def test_automorph_permutation_structure():
@@ -172,15 +137,7 @@ def test_automorph_on_monomial_matches_evaluation():
     """automorph(X^i, k) == ±X^{ik mod N} with sign (-1)^{floor(ik/N)}."""
     for i in (1, 7, N - 1):
         for k in (3, N + 1):
-            m = RingPoly.monomial(i, N, Q)
-            got = m.automorph(k)
-            want = RingPoly.monomial(i * k, N, Q)
-            assert got == want, (i, k)
-
-
-def test_automorph_raw_vs_free_function(rng):
-    a = rand_poly(rng)
-    assert np.array_equal(a.automorph(5).coeffs, automorph(a.coeffs, 5, Q))
+            assert np.array_equal(automorph(monomial(i), k, Q), monomial(i * k)), (i, k)
 
 
 def test_shiftneg_free_function_negative_and_large(rng):
@@ -189,16 +146,6 @@ def test_shiftneg_free_function_negative_and_large(rng):
     assert np.array_equal(
         shiftneg(shiftneg(a, 3, Q), -3, Q), a
     )
-
-
-def test_evaluate():
-    p = RingPoly(np.array([1, 2, 3] + [0] * (N - 3)), Q)
-    assert p.evaluate(10) == 321
-
-
-def test_repr():
-    p = RingPoly.zero(N, Q)
-    assert "RingPoly" in repr(p)
 
 
 # -- hypothesis -----------------------------------------------------------------

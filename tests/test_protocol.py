@@ -46,7 +46,6 @@ def test_byte_accounting(linked):
     bob.send(alice, "y", b"123")
     assert ch.total_bytes == 8
     assert ch.bytes_by_label() == {"x": 5, "y": 3}
-    assert ch.bytes_by_direction() == {("alice", "bob"): 5, ("bob", "alice"): 3}
 
 
 def test_round_counting(linked):

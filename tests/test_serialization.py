@@ -7,7 +7,6 @@ from repro.he.encoder import CoefficientEncoder
 from repro.he.lwe import extract_lwe
 from repro.he.rlwe import decrypt, encrypt
 from repro.he.serialization import (
-    CommunicationLedger,
     deserialize_lwe,
     deserialize_plaintext,
     deserialize_rlwe,
@@ -129,15 +128,6 @@ def test_wrong_ring_degree(ctx128, sk128, enc, rng):
     other = CheContext(toy_params(n=64, plain_bits=40), seed=0)
     with pytest.raises(ValueError, match="degree"):
         deserialize_rlwe(serialize_rlwe(ct), other)
-
-
-def test_communication_ledger():
-    ledger = CommunicationLedger()
-    ledger.record("ct", b"x" * 100)
-    ledger.record("ct", b"y" * 50)
-    ledger.record_size("result", 30)
-    assert ledger.total_bytes == 180
-    assert ledger.by_label() == {"ct": 150, "result": 30}
 
 
 def test_secret_key_roundtrip(sk128):

@@ -295,11 +295,11 @@ def test_foreign_and_failed_requests_never_strand_the_server(
         multiply_batch = engine.multiply_batch
         calls = []
 
-        def fail_once(cts, workers=None):
+        def fail_once(cts):
             calls.append(len(cts))
             if len(calls) == 1:
                 raise RuntimeError("injected batch failure")
-            return multiply_batch(cts, workers)
+            return multiply_batch(cts)
 
         monkeypatch.setattr(engine, "multiply_batch", fail_once)
         doomed = [await server.submit(c) for c in cts8[:2]]
@@ -331,7 +331,7 @@ def test_serve_requests_closes_the_server_when_a_batch_fails(
     propagates; the server is closed on the way out."""
     before = _serve_engine_threads()
 
-    def fail(self, cts, workers=None):
+    def fail(self, cts):
         raise RuntimeError("injected batch failure")
 
     monkeypatch.setattr(BatchedHmvp, "multiply_batch", fail)

@@ -40,9 +40,8 @@ def test_trace_levels_cover_tree(trace64):
 def test_overlap_exists(trace64):
     """Pack reductions start while dot products still stream — the
     macro-pipeline overlap of Fig. 1b."""
-    overlap = trace64.first_overlap_cycle()
-    assert overlap is not None
-    assert overlap < trace64.dot_events[-1].cycle
+    first_pack = min(e.cycle for e in trace64.pack_events)
+    assert first_pack < trace64.dot_events[-1].cycle
 
 
 def test_trace_agrees_with_stats(trace64):
@@ -95,7 +94,6 @@ def test_empty_trace():
     trace = PipelineTrace(stats=MacroPipeline(EngineConfig()).simulate_hmvp(1),
                           events=[])
     assert trace.max_pack_level() == 0
-    assert trace.first_overlap_cycle() is None
     art = render_gantt(trace)
     assert art.splitlines()[0].startswith("cycles 0 ..")
     assert "#" not in art
